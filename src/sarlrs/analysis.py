@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InsufficientSweep, SvdFailure
 from .eta import ApertureParams, EtaBounds, analytic_column_support, _spectrum_normalization
-from .scenario import Scenario
-from .simulate import synthesize_baseband_direct, synthesize_downramped
+from .scenario import SamplingGrid, Scenario, Target
+from .simulate import fast_time_gate, synthesize_baseband_direct, synthesize_downramped
 
 EFFECTIVE_SUPPORT_REL = 1e-3   # sigma_k above 1e-3 * sigma_0 count as support
 MASK_REL = 1e-3                # separation masks: entries above 1e-3 of per-matrix max
@@ -120,7 +120,6 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
         raise InsufficientSweep("need >= 4 speeds spanning at least one decade")
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    from .scenario import Target  # local import to avoid cycle at module load
     nuclear = []
     frobenius = []
     for v in np.sort(speeds):
@@ -191,9 +190,6 @@ def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
     synth = (synthesize_baseband_direct if np.iscomplexobj(decomposition.S)
              else synthesize_downramped)
     # pin the full scene's gate so subset matrices share the column grid
-    from dataclasses import replace
-    from .scenario import SamplingGrid
-    from .simulate import fast_time_gate
     t0, t1 = fast_time_gate(scenario)
     grid = SamplingGrid(delta_t=scenario.sampling.delta_t, gate_start=t0, gate_end=t1)
     pinned = replace(scenario, sampling=grid)

@@ -76,14 +76,13 @@ def _resolve_eta(mode: str, sc: Scenario, shape) -> tuple[float, str]:
     return value, "explicit"
 
 
-def _baseband_matrix(sc: Scenario) -> np.ndarray:
-    D = simulate.synthesize_downramped(sc)
+def _baseband_matrix(sc: Scenario, D: np.ndarray) -> np.ndarray:
     t = simulate.fast_times(sc)
     return baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
 
 
-def _decompose(sc: Scenario, args):
-    DB = _baseband_matrix(sc)
+def _decompose(sc: Scenario, D: np.ndarray, args):
+    DB = _baseband_matrix(sc, D)
     eta_value, eta_mode = _resolve_eta(args.eta, sc, DB.shape)
     config = rpca.RpcaConfig(eta="conventional" if eta_mode == "conventional" else eta_value)
     dec = rpca.decompose_windowed(DB, args.windows, config)
@@ -131,14 +130,15 @@ def cmd_simulate(args) -> int:
 def cmd_baseband(args) -> int:
     sc = _load(args)
     out = _outdir(args)
-    matrixio.write_matrix(out / "DB.sarm", _baseband_matrix(sc), _meta(sc, "baseband", args))
+    DB = _baseband_matrix(sc, simulate.synthesize_downramped(sc))
+    matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     sc = _load(args)
     out = _outdir(args)
-    _, dec, eta_value, eta_mode = _decompose(sc, args)
+    _, dec, eta_value, eta_mode = _decompose(sc, simulate.synthesize_downramped(sc), args)
     matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
     matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
     report = {
@@ -174,12 +174,11 @@ def cmd_image(args) -> int:
     if len(velocity) != 3:
         raise ConfigError("--velocity must be vx,vy,vz")
     grid = _grid(args, sc)
-    if args.source == "D":
-        data = simulate.synthesize_downramped(sc)
-    elif args.source == "DB":
-        data = _baseband_matrix(sc)
-    else:
-        _, dec, _, _ = _decompose(sc, args)
+    data = simulate.synthesize_downramped(sc)
+    if args.source == "DB":
+        data = _baseband_matrix(sc, data)
+    elif args.source in ("L", "S"):
+        _, dec, _, _ = _decompose(sc, data, args)
         data = dec.L if args.source == "L" else dec.S
     img = imaging.migrate(data, sc, grid, hypothesis_velocity=velocity, source=args.source)
     _write_image(out, f"image_{args.source}", img)
@@ -259,7 +258,7 @@ def cmd_pipeline(args) -> int:
     out = _outdir(args)
     D = simulate.synthesize_downramped(sc)
     matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
-    DB, dec, eta_value, eta_mode = _decompose(sc, args)
+    DB, dec, eta_value, eta_mode = _decompose(sc, D, args)
     matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
     matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
     matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))

@@ -43,13 +43,5 @@ class SvdFailure(NumericalError):
     pass
 
 
-class MaxIterationsExceeded(NumericalError):
-    """Iterative solve hit its cap; best iterate is attached when available."""
-
-    def __init__(self, message, result=None):
-        self.result = result
-        super().__init__(message)
-
-
 class InsufficientSweep(ConfigError):
     """A sweep needs at least 4 points spanning one decade."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import Scenario
-from .simulate import fast_times
+from .scenario import Scenario, advect
+from .simulate import differential_delay, fast_times
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,7 @@ def migrate(data: np.ndarray, scenario: Scenario, grid: ImagingGrid,
     acc = np.zeros(pix.shape[0], dtype=complex if is_complex else float)
     out_of_gate = 0
     for j, sj in enumerate(s):
-        r = scenario.platform.position + scenario.platform.velocity * sj
-        p = pix + v * sj
-        tau_p = 2.0 * np.linalg.norm(r - p, axis=1) / 299_792_458.0
-        tau_o = 2.0 * np.linalg.norm(r - scenario.reference_point) / 299_792_458.0
-        tau = tau_p - tau_o
+        tau = differential_delay(scenario, advect(pix, v, sj), sj)
         inside = (tau >= t[0]) & (tau <= t[-1])
         out_of_gate += int(np.sum(~inside))
         if is_complex:
@@ -103,23 +99,17 @@ def peak_report(image: KmImage) -> list[dict]:
         return []
     background = float(np.median(mag))
     xs, ys = image.grid.xs(), image.grid.ys()
-    peaks = []
+    ny, nx = mag.shape
     padded = np.pad(mag, 1, constant_values=-np.inf)
-    for iy in range(mag.shape[0]):
-        for ix in range(mag.shape[1]):
-            val = mag[iy, ix]
-            if val < peak_floor or val <= 0:
-                continue
-            window = padded[iy:iy + 3, ix:ix + 3].copy()
-            window[1, 1] = -np.inf
-            # strict inequality rejects plateaus (a uniform image has no peaks)
-            if val > window.max():
-                ratio = val / background if background > 0 else np.inf
-                peaks.append({
-                    "location": [float(xs[ix]), float(ys[iy])],
-                    "magnitude": float(val),
-                    "peak_to_background": float(ratio),
-                })
+    neighbour_max = np.max([padded[dy:dy + ny, dx:dx + nx]
+                            for dy in range(3) for dx in range(3) if (dy, dx) != (1, 1)],
+                           axis=0)
+    # strict inequality rejects plateaus (a uniform image has no peaks)
+    iy, ix = np.nonzero((mag >= peak_floor) & (mag > neighbour_max))
+    peaks = [{"location": [float(xs[x]), float(ys[y])],
+              "magnitude": float(mag[y, x]),
+              "peak_to_background": float(mag[y, x] / background if background > 0 else np.inf)}
+             for y, x in zip(iy, ix)]
     peaks.sort(key=lambda p: -p["magnitude"])
     return peaks
 

@@ -21,6 +21,12 @@ C_LIGHT = 299_792_458.0
 GATE_MARGIN_OVER_B = 8.5
 
 
+def advect(position, velocity, s):
+    """position + velocity * s, with slow times s on the leading axes."""
+    s = np.asarray(s, dtype=float)
+    return position + velocity * s[..., None]
+
+
 @dataclass(frozen=True)
 class Pulse:
     carrier_angular_frequency: float  # omega_0 [rad/s]
@@ -51,8 +57,7 @@ class Platform:
             raise ConfigError("pulse_count must be n + 1 with n even")
 
     def position_at(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.position + self.velocity * s[..., None]
+        return advect(self.position, self.velocity, s)
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,7 @@ class Target:
         return float(np.linalg.norm(self.velocity)) == 0.0
 
     def position_at(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.position + self.velocity * s[..., None]
+        return advect(self.position, self.velocity, s)
 
 
 @dataclass(frozen=True)

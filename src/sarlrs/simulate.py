@@ -23,8 +23,20 @@ from .scenario import C_LIGHT, GATE_MARGIN_OVER_B, Scenario, Target
 
 def travel_time(scenario: Scenario, s: float, point) -> float:
     """Round-trip time from the platform at slow time s to a fixed point."""
-    r = scenario.platform.position + scenario.platform.velocity * s
+    r = scenario.platform.position_at(s)
     return 2.0 * float(np.linalg.norm(r - np.asarray(point, dtype=float))) / C_LIGHT
+
+
+def differential_delay(scenario: Scenario, points, s) -> np.ndarray:
+    """(2/c) * (|r(s) - p| - |r(s) - rho_o|) for points p at slow times s.
+
+    `points` broadcasts against the platform positions r(s): one point per
+    slow time (shape s.shape + (3,)) or many points at one slow time.
+    """
+    r = scenario.platform.position_at(s)
+    d_p = np.linalg.norm(r - points, axis=-1)
+    d_o = np.linalg.norm(r - scenario.reference_point, axis=-1)
+    return 2.0 * (d_p - d_o) / C_LIGHT
 
 
 def delta_tau(scenario: Scenario, target: Target, s) -> np.ndarray | float:
@@ -33,12 +45,7 @@ def delta_tau(scenario: Scenario, target: Target, s) -> np.ndarray | float:
     (2/c) * (|r(s) - rho(s)| - |r(s) - rho_o|), with the target advected to
     rho(s) = rho(0) + v_t s.
     """
-    s = np.asarray(s, dtype=float)
-    r = scenario.platform.position_at(s)
-    rho = target.position_at(s)
-    d_t = np.linalg.norm(r - rho, axis=-1)
-    d_o = np.linalg.norm(r - scenario.reference_point, axis=-1)
-    out = 2.0 * (d_t - d_o) / C_LIGHT
+    out = differential_delay(scenario, target.position_at(s), s)
     return out if out.ndim else float(out)
 
 
@@ -75,39 +82,31 @@ def _check_gate(scenario: Scenario, delays: np.ndarray, t: np.ndarray) -> None:
             raise GateTooNarrow(i)
 
 
-def synthesize_downramped(scenario: Scenario) -> np.ndarray:
-    """Real down-ramped data matrix, shape (n+1, m+1)."""
+def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
+    """sum_i sig_i carrier(w0, t - dtau_i, dtau_i) exp(-B^2 (t - dtau_i)^2 / 2)."""
     t = fast_times(scenario)
-    n1 = scenario.platform.pulse_count
-    D = np.zeros((n1, t.size))
+    M = np.zeros((scenario.platform.pulse_count, t.size), dtype=dtype)
     if not scenario.targets:
-        return D
+        return M
     delays = _all_delays(scenario)
     _check_gate(scenario, delays, t)
     w0 = scenario.pulse.carrier_angular_frequency
     B = scenario.pulse.bandwidth_parameter
     for tgt, dtau in zip(scenario.targets, delays):
         arg = t[None, :] - dtau[:, None]
-        D += tgt.reflectivity * (np.cos(w0 * arg) * np.exp(-B * B * arg * arg / 2.0))
-    return D
+        M += tgt.reflectivity * (carrier(w0, arg, dtau) * np.exp(-B * B * arg * arg / 2.0))
+    return M
+
+
+def synthesize_downramped(scenario: Scenario) -> np.ndarray:
+    """Real down-ramped data matrix, shape (n+1, m+1)."""
+    return _synthesize(scenario, float, lambda w0, arg, dtau: np.cos(w0 * arg))
 
 
 def synthesize_baseband_direct(scenario: Scenario) -> np.ndarray:
     """Analytic complex-baseband matrix; oracle for the FFT filtering path."""
-    t = fast_times(scenario)
-    n1 = scenario.platform.pulse_count
-    DB = np.zeros((n1, t.size), dtype=complex)
-    if not scenario.targets:
-        return DB
-    delays = _all_delays(scenario)
-    _check_gate(scenario, delays, t)
-    w0 = scenario.pulse.carrier_angular_frequency
-    B = scenario.pulse.bandwidth_parameter
-    for tgt, dtau in zip(scenario.targets, delays):
-        arg = t[None, :] - dtau[:, None]
-        phase = np.exp(1j * w0 * dtau)[:, None]
-        DB += tgt.reflectivity * (phase * np.exp(-B * B * arg * arg / 2.0))
-    return DB
+    return _synthesize(scenario, complex,
+                       lambda w0, arg, dtau: np.exp(1j * w0 * dtau)[:, None])
 
 
 def column_support(scenario: Scenario, target: Target) -> int:

@@ -78,6 +78,24 @@ def test_uniform_image_has_no_peaks():
     assert peak_report(img) == []
 
 
+def test_border_peak_is_reported():
+    grid = small_grid(extent=4.0, pixels=5)
+    values = np.zeros((grid.ny, grid.nx))
+    values[0, 4] = 2.0
+    values[2, 2] = 1.5
+    peaks = peak_report(KmImage(values=values, grid=grid))
+    assert [p["location"] for p in peaks] == [[4.0, -4.0], [0.0, 0.0]]
+
+
+def test_plateau_maxima_are_not_peaks():
+    grid = small_grid(extent=4.0, pixels=5)
+    values = np.zeros((grid.ny, grid.nx))
+    values[2, 1:3] = 2.0
+    values[4, 4] = 1.5
+    peaks = peak_report(KmImage(values=values, grid=grid))
+    assert [p["location"] for p in peaks] == [[4.0, 4.0]]
+
+
 def test_peak_magnitude_grows_with_pulse_count():
     mags = []
     for n in (40, 80):

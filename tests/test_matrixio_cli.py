@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sarlrs.cli import main
+import sarlrs.simulate
+from sarlrs.cli import build_parser, main
 from sarlrs.errors import ConfigError
 from sarlrs.matrixio import read_matrix, write_matrix
 from sarlrs.scenario import load_scenario, scenario_to_dict, serialize_scenario
@@ -169,12 +172,17 @@ def test_cli_simulate_deterministic(tmp_path):
     assert (a / "D.sarm").read_bytes() == (b / "D.sarm").read_bytes()
 
 
-def test_cli_pipeline_outputs(tmp_path):
+def test_cli_pipeline_outputs(tmp_path, monkeypatch):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
+    calls = []
+    synthesize = sarlrs.simulate.synthesize_downramped
+    monkeypatch.setattr(sarlrs.simulate, "synthesize_downramped",
+                        lambda sc: calls.append(sc) or synthesize(sc))
     assert main(["pipeline", "--config", str(cfg), "--eta", "optimal",
                  "--grid-extent", "20", "--grid-pixels", "11",
                  "--out", str(out)]) == 0
+    assert len(calls) == 1  # D is synthesized once and reused for DB
     for name in ("D.sarm", "DB.sarm", "L.sarm", "S.sarm", "eta_report.json",
                  "spectra.csv", "metrics.json", "summary.json",
                  "image_D.pgm", "image_L.pgm", "image_S.pgm"):
@@ -201,3 +209,16 @@ def test_cli_analyze_reports(tmp_path):
     assert len(stat_rows) == 10
     summary = json.loads((out / "analysis_summary.json").read_text())
     assert 0.3 <= summary["beta"] <= 0.6
+
+
+def test_readme_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    python_blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(python_blocks) == 1
+    exec(compile(python_blocks[0], "README.md", "exec"), {})
+    commands = [line.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.startswith("sarlrs ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])  # exits on an unknown argument
