@@ -273,7 +273,7 @@ def cmd_pipeline(args) -> int:
 
     spec_rows = []
     for name, M in (("D", D), ("DB", DB), ("L", dec.L), ("S", dec.S)):
-        sig = np.linalg.svd(M, compute_uv=False)
+        sig = rpca.singular_values(M)
         for k, s in enumerate(sig[:min(64, sig.size)]):
             spec_rows.append({"matrix": name, "k": k, "sigma": float(s)})
     with open(out / "spectra.csv", "w", newline="") as fh:

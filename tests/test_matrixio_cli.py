@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -193,13 +194,19 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
     for path in (out / "D.sarm", out / "L.sarm"):
         M, meta = read_matrix(path)  # everything emitted is re-readable
         assert M.size > 0 and "scenario_hash" in meta
+    with open(out / "spectra.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for name in ("D", "DB", "L", "S"):
+        ref = np.linalg.svd(read_matrix(out / f"{name}.sarm")[0], compute_uv=False)[:64]
+        sigma = np.array([float(r["sigma"]) for r in rows if r["matrix"] == name])
+        assert sigma.shape == ref.shape, name
+        assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0], name
 
 
 def test_cli_analyze_reports(tmp_path):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
-    import csv
     with open(out / "velocity_sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     nuclear = [float(r["nuclear"]) for r in rows]

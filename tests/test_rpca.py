@@ -1,10 +1,42 @@
 import numpy as np
 import pytest
 
+from sarlrs import rpca
 from sarlrs.errors import ConfigError
 from sarlrs.rpca import (Decomposition, RpcaConfig, decompose,
                          decompose_windowed, singular_value_threshold,
-                         soft_threshold, spectral_norm)
+                         singular_values, soft_threshold, spectral_norm)
+
+
+def svd_threshold_reference(M, tau):
+    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
+    return (U * np.maximum(sig - tau, 0.0)) @ Vh
+
+
+def with_spectrum(sig, n1, n2, complex_=False, seed=0):
+    """An n1 x n2 matrix with the given singular values (zeros beyond them)."""
+    rng = np.random.default_rng(seed)
+
+    def basis(n):
+        A = rng.standard_normal((n, len(sig)))
+        if complex_:
+            A = A + 1j * rng.standard_normal((n, len(sig)))
+        return np.linalg.qr(A)[0]
+
+    return (basis(n1) * np.asarray(sig, float)) @ basis(n2).conj().T
+
+
+_rng = np.random.default_rng(11)
+_dup = _rng.standard_normal((3, 50))
+SVT_MATRICES = {
+    "wide-real": _rng.standard_normal((12, 70)),
+    "tall-real": _rng.standard_normal((70, 12)),
+    "wide-complex": _rng.standard_normal((12, 70)) + 1j * _rng.standard_normal((12, 70)),
+    # sigma from 1 to 1e-12: the Gram route alone is off by ~1e-9 at tau = 1e-9
+    "graded-complex": with_spectrum(np.logspace(0, -12, 12), 12, 70, complex_=True),
+    # repeated and zero rows: rank 3, eight exact zero singular values
+    "rank-deficient": np.vstack([_dup, _dup, 2.0 * _dup[:1], np.zeros((2, 50)), _dup[1:]]),
+}
 
 
 def test_soft_threshold_zero_input():
@@ -47,11 +79,61 @@ def test_svt_rank_one_closed_form():
     assert np.allclose(out, 1.5 * np.outer(u, v), atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(SVT_MATRICES))
+@pytest.mark.parametrize("where", ["zero", "between", "guard"])
+def test_svt_matches_svd_reference(name, where, monkeypatch):
+    M = SVT_MATRICES[name]
+    sig = np.linalg.svd(M, compute_uv=False)
+    tau = {"zero": 0.0,
+           "between": 0.5 * (sig[2] + sig[3]),
+           "guard": 1e-9 * sig[0]}[where]  # below GRAM_MIN_TAU * sigma_max
+    fallbacks = []
+    svd_threshold = rpca._svd_threshold
+    monkeypatch.setattr(rpca, "_svd_threshold",
+                        lambda M, tau: fallbacks.append(tau) or svd_threshold(M, tau))
+    ref = svd_threshold_reference(M, tau)
+    out = singular_value_threshold(M, tau)
+    assert out.shape == M.shape and out.dtype == M.dtype
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert len(fallbacks) == (0 if where == "between" else 1)
+
+
 def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
     assert spectral_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
                                              rel=1e-6)
+
+
+@pytest.mark.parametrize("M", [
+    with_spectrum([3.0, 1.0, 0.2], 90, 7, seed=1),                    # tall
+    with_spectrum([3.0, 1.0, 0.2], 7, 90, complex_=True, seed=2),     # wide
+    with_spectrum([1.0, 0.996, 0.5, 0.1], 40, 300, complex_=True, seed=3),
+    np.zeros((5, 9)),
+], ids=["tall", "wide", "gap-0.996", "zero"])
+def test_spectral_norm_shapes_and_close_top_pair(M):
+    ref = np.linalg.svd(M, compute_uv=False)[0]
+    assert spectral_norm(M) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(30, 200), (200, 30)])
+def test_singular_values_match_svd(shape):
+    M = with_spectrum(np.logspace(0, -14, 30), *shape, complex_=True, seed=4)
+    ref = np.linalg.svd(M, compute_uv=False)
+    out = singular_values(M)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-14 * ref[0]
+
+
+def test_rank_counts_like_svd_just_above_cut(monkeypatch):
+    # L's smallest kept singular value, 2e-9 sigma_0, sits just above the
+    # 1e-9 cut, and its 17 exact zeros would read as ~1e-8 sigma_0 from the
+    # eigenvalues of L L^H.
+    L = with_spectrum([1.0, 0.5, 2e-9], 20, 200, complex_=True, seed=5)
+    monkeypatch.setattr(rpca, "singular_value_threshold", lambda M, tau: L.copy())
+    out = decompose(L, RpcaConfig(eta=0.1, max_iter=2))
+    sig = np.linalg.svd(out.L, compute_uv=False)
+    assert out.rank == int(np.sum(sig > 1e-9 * sig[0])) == 3
 
 
 def test_sparse_only_fixed_point():
