@@ -3,6 +3,7 @@
 Brute-force l1/Frobenius/nuclear evaluations, their closed-form estimates,
 empirical eta bounds from class-representative matrices, and the
 separation-quality metrics used to score a low-rank plus sparse split.
+Every spectrum the package reports comes from `rpca.singular_values`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InsufficientSweep, SvdFailure
+from .errors import InsufficientSweep
 from .eta import ApertureParams, EtaBounds, analytic_column_support, _spectrum_normalization
+from .rpca import singular_values
 from .scenario import SamplingGrid, Scenario, Target
 from .simulate import fast_time_gate, synthesize_baseband_direct, synthesize_downramped
 
@@ -75,10 +77,8 @@ def model_spectrum(params: ApertureParams, count: int) -> np.ndarray:
 
 
 def spectrum(M, params: ApertureParams | None = None) -> SpectrumReport:
-    try:
-        sig = np.linalg.svd(np.asarray(M), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailure(str(exc)) from exc
+    """Singular values of M with the norms they give; raises SvdFailure."""
+    sig = singular_values(np.asarray(M))
     n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig[0])) if sig[0] > 0 else 0
     model = model_spectrum(params, sig.size) if params is not None else None
     return SpectrumReport(
@@ -124,10 +124,9 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
     frobenius = []
     for v in np.sort(speeds):
         sc = scenario.with_targets([Target(position=position, velocity=v * direction)])
-        DB = synthesize_baseband_direct(sc)
-        sig = np.linalg.svd(DB, compute_uv=False)
-        nuclear.append(float(sig.sum()))
-        frobenius.append(float(np.linalg.norm(sig)))
+        rep = spectrum(synthesize_baseband_direct(sc))
+        nuclear.append(rep.nuclear_norm)
+        frobenius.append(rep.frobenius_norm)
     logs = np.log(np.sort(speeds))
     beta = float(np.polyfit(logs, np.log(nuclear), 1)[0])
     fro_slope = float(np.polyfit(logs, np.log(frobenius), 1)[0])
@@ -140,15 +139,16 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
     }
 
 
+def nuclear_to_l1(M) -> float:
+    """||M||_* / ||M||_1, the eta bound a class representative sets."""
+    return spectrum(M).nuclear_norm / l1_norm(M)
+
+
 def empirical_eta_bounds(stationary_matrix, moving_matrix) -> EtaBounds:
     """Nuclear-to-l1 ratios of single-target class representatives."""
-    def ratio(M):
-        sig = np.linalg.svd(np.asarray(M), compute_uv=False)
-        return float(sig.sum()) / l1_norm(M)
-
     return EtaBounds(
-        eta_min=ratio(stationary_matrix),
-        eta_max=ratio(moving_matrix),
+        eta_min=nuclear_to_l1(stationary_matrix),
+        eta_max=nuclear_to_l1(moving_matrix),
         regime="empirical",
         column_support=math.nan,
     )

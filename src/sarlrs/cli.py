@@ -199,27 +199,27 @@ def cmd_analyze(args) -> int:
     def single(target):
         return sc.with_targets([target])
 
-    D_stat = simulate.synthesize_downramped(single(stat_template))
-    DB_stat = simulate.synthesize_baseband_direct(single(stat_template))
+    # one spectrum per synthesized matrix: eta_min is shared by every speed
+    eta_min_bb = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(single(stat_template)))
+    eta_min_orig = analysis.nuclear_to_l1(simulate.synthesize_downramped(single(stat_template)))
 
     rows = []
     for v in SWEEP_SPEEDS:
         tgt = Target(position=mover.position, velocity=v * direction)
         DB = simulate.synthesize_baseband_direct(single(tgt))
-        D = simulate.synthesize_downramped(single(tgt))
-        bb = analysis.empirical_eta_bounds(DB_stat, DB)
-        orig = analysis.empirical_eta_bounds(D_stat, D)
-        sig = np.linalg.svd(DB, compute_uv=False)
+        rep = analysis.spectrum(DB)
+        eta_max_bb = rep.nuclear_norm / analysis.l1_norm(DB)
+        eta_max_orig = analysis.nuclear_to_l1(simulate.synthesize_downramped(single(tgt)))
         params = eta.ApertureParams.from_scenario(sc, v * direction)
         rows.append({
             "speed_mps": v,
-            "nuclear": float(sig.sum()),
-            "frobenius": float(np.linalg.norm(sig)),
-            "eta_max_empirical_baseband": bb.eta_max,
-            "eta_max_empirical_original": orig.eta_max,
-            "dynamic_range_baseband": bb.dynamic_range,
-            "dynamic_range_original": orig.dynamic_range,
-            "eta_star_empirical": np.sqrt(bb.eta_min * bb.eta_max),
+            "nuclear": rep.nuclear_norm,
+            "frobenius": rep.frobenius_norm,
+            "eta_max_empirical_baseband": eta_max_bb,
+            "eta_max_empirical_original": eta_max_orig,
+            "dynamic_range_baseband": np.sqrt(eta_max_bb / eta_min_bb),
+            "dynamic_range_original": np.sqrt(eta_max_orig / eta_min_orig),
+            "eta_star_empirical": np.sqrt(eta_min_bb * eta_max_bb),
             "eta_star_analytic": eta.eta_bounds_baseband(params).eta_star,
         })
     with open(out / "velocity_sweep.csv", "w", newline="") as fh:
@@ -230,14 +230,12 @@ def cmd_analyze(args) -> int:
     # eta* sensitivity to the number of stationary targets
     rng = np.random.default_rng(7)
     stat_rows = []
-    mover_db = simulate.synthesize_baseband_direct(single(mover))
-    emax = analysis.empirical_eta_bounds(DB_stat, mover_db).eta_max
+    emax = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(single(mover)))
     for count in range(1, 11):
         targets = [Target(position=stat_template.position + np.array([dx, dy, 0.0]),
                           velocity=[0.0, 0.0, 0.0])
                    for dx, dy in rng.uniform(-20, 20, size=(count, 2))]
-        DBs = simulate.synthesize_baseband_direct(sc.with_targets(targets))
-        emin = analysis.empirical_eta_bounds(DBs, mover_db).eta_min
+        emin = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(sc.with_targets(targets)))
         stat_rows.append({"stationary_count": count, "eta_min_empirical": emin,
                           "eta_star_empirical": float(np.sqrt(emin * emax))})
     with open(out / "stationary_count_sweep.csv", "w", newline="") as fh:

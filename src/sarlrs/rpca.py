@@ -23,7 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SvdFailure
+from .eta import conventional_eta
 
+MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
+RHO = 1.4                    # penalty growth factor per iteration
 MU_CAP_FACTOR = 1e7          # mu_k capped at MU_CAP_FACTOR * mu_0
 NUMERIC_FLOOR = 1e-12        # entries of S below this (times max|D|) count as zero
 # SVT thresholds below GRAM_MIN_TAU * sigma_max use the SVD.  Measured against
@@ -37,14 +40,10 @@ GRAM_MIN_TAU = 1e-5
 @dataclass(frozen=True)
 class RpcaConfig:
     eta: float | str = "conventional"  # weight of the sparse term, or "conventional"
-    mu0: float | None = None           # initial penalty; default 1.2 / ||D||_2
-    rho: float = 1.4                   # penalty growth factor
     tol: float = 1e-7                  # relative Frobenius residual
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.rho <= 1:
-            raise ConfigError("rho must exceed 1")
         if self.tol <= 0 or self.max_iter < 1:
             raise ConfigError("bad convergence settings")
         if not isinstance(self.eta, str) and self.eta <= 0:
@@ -54,7 +53,7 @@ class RpcaConfig:
         if isinstance(self.eta, str):
             if self.eta != "conventional":
                 raise ConfigError(f"unknown eta mode '{self.eta}'")
-            return 1.0 / np.sqrt(max(shape))
+            return conventional_eta(*shape)
         return float(self.eta)
 
 
@@ -159,11 +158,12 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
     eta = config.resolve_eta(D.shape)
     norm2 = spectral_norm(D)
     norm_f = np.linalg.norm(D)
-    mu = config.mu0 if config.mu0 is not None else 1.2 / norm2
+    d_max = np.max(np.abs(D))
+    mu = MU0_FACTOR / norm2
     mu_cap = MU_CAP_FACTOR * mu
 
     # dual ascent seed: Y_0 = D / max(||D||_2, ||D||_inf / eta)
-    Y = D / max(norm2, np.max(np.abs(D)) / eta)
+    Y = D / max(norm2, d_max / eta)
     S = np.zeros_like(D)
     L = np.zeros_like(D)
     W = np.empty_like(Y)         # D + Y/mu, then mu R
@@ -185,11 +185,11 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
         if residual <= config.tol and it >= 2:
             converged = True
             break
-        mu = min(config.rho * mu, mu_cap)
+        mu = min(RHO * mu, mu_cap)
 
     sig = singular_values(L)
     rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
-    floor = NUMERIC_FLOOR * np.max(np.abs(D))
+    floor = NUMERIC_FLOOR * d_max
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,
         sparse_count=int(np.sum(np.abs(S) > floor)), converged=converged,

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarlrs
 from sarlrs.analysis import (NarrowbandViolated, analytic_l1,
                              empirical_eta_bounds, gaussian_decay_fit, l1_norm,
                              model_spectrum, nuclear_velocity_exponent,
@@ -59,11 +61,23 @@ def test_spectrum_rank_one():
 
 
 def test_spectrum_energy_identity():
-    sc = make_scenario([moving_target(15.0)])
-    DB = synthesize_baseband_direct(sc)
-    rep = spectrum(DB)
-    assert rep.frobenius_norm**2 == pytest.approx(np.linalg.norm(DB) ** 2, rel=1e-8)
-    assert rep.nuclear_norm == pytest.approx(rep.singular_values.sum(), rel=1e-12)
+    rng = np.random.default_rng(0)
+    wide_complex = rng.standard_normal((30, 400)) + 1j * rng.standard_normal((30, 400))
+    tall_real = rng.standard_normal((300, 20)) * np.logspace(0, -6, 20)
+    DB = synthesize_baseband_direct(make_scenario([moving_target(15.0)]))
+    for M in (DB, wide_complex, tall_real):
+        rep = spectrum(M)
+        ref = np.linalg.svd(M, compute_uv=False)
+        assert np.max(np.abs(rep.singular_values - ref)) <= 1e-13 * ref[0]
+        assert rep.frobenius_norm**2 == pytest.approx(np.linalg.norm(M) ** 2, rel=1e-8)
+        assert rep.nuclear_norm == pytest.approx(rep.singular_values.sum(), rel=1e-12)
+
+
+def test_only_rpca_calls_the_svd():
+    # every reported spectrum goes through rpca.singular_values
+    src = Path(sarlrs.__file__).parent
+    callers = sorted(f.name for f in src.glob("*.py") if "linalg.svd" in f.read_text())
+    assert callers == ["rpca.py"]
 
 
 def test_spectrum_gaussian_decay():

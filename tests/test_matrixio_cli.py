@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sarlrs.simulate
-from sarlrs.cli import build_parser, main
+from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
 from sarlrs.errors import ConfigError
 from sarlrs.matrixio import read_matrix, write_matrix
 from sarlrs.scenario import load_scenario, scenario_to_dict, serialize_scenario
@@ -203,10 +203,16 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
         assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0], name
 
 
-def test_cli_analyze_reports(tmp_path):
+def test_cli_analyze_reports(tmp_path, monkeypatch):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
+    spectra = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: spectra.append(1) or svd(*a, **k))
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    # one spectrum per synthesized matrix: 2 stationary representatives, 2 per
+    # sweep speed, the mover, 10 stationary sets and 5 exponent-fit speeds
+    assert len(spectra) == 2 + 2 * len(SWEEP_SPEEDS) + 1 + 10 + 5 == 30
     with open(out / "velocity_sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     nuclear = [float(r["nuclear"]) for r in rows]
