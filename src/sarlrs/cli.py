@@ -297,6 +297,8 @@ def cmd_pipeline(args) -> int:
         "metrics": metrics.as_dict(),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    if not dec.converged:
+        raise NumericalError("RPCA did not converge within the iteration cap")
     return EXIT_OK
 
 

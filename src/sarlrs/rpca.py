@@ -6,14 +6,15 @@ thresholding acts on the (real, nonnegative) spectrum.
 
 SAR matrices are very wide (a few hundred pulses by tens of thousands of
 fast-time samples), so singular value thresholding (SVT) and the spectral
-norm work on the Gram matrix A A^H of the short side A (M, or M^H when M is
+norm work on the Gram matrix A A^H of the short side A (M, or M^T when M is
 tall): one eigh of an n x n matrix, n = min(n1, n2), instead of a thin SVD
 of M.  The Gram matrix squares the condition number, so its eigenvalues
 carry an absolute error of about eps * sigma_max^2 and singular values below
-~1e-8 sigma_max are noise.  SVT therefore falls back to LAPACK's SVD when
-the threshold is below GRAM_MIN_TAU * sigma_max, and the rank that
-`decompose` reports is counted from `singular_values` (QR, then a small
-SVD), which resolves singular values down to eps * sigma_max.
+~1e-8 sigma_max are noise.  So for thresholds below GRAM_MIN_TAU * sigma_max
+SVT takes the exact R-factor route: R from the QR of the tall view A^T has
+R^H R = A A^H, and the n x n SVD of R gives A's singular values and left
+singular vectors as accurately as an SVD of A.  `singular_values`, and so
+the rank that `decompose` reports, read the same R.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
 RHO = 1.4                    # penalty growth factor per iteration
 MU_CAP_FACTOR = 1e7          # mu_k capped at MU_CAP_FACTOR * mu_0
 NUMERIC_FLOOR = 1e-12        # entries of S below this (times max|D|) count as zero
-# SVT thresholds below GRAM_MIN_TAU * sigma_max use the SVD.  Measured against
-# the SVD on every SVT input of the scaled scene's solve and on a matrix with
-# sigma from 1 to 1e-12, the Gram route's relative error grows about as
-# 1 / tau: at most 9e-12 for tau >= 1e-5 sigma_max, 10x inside the 1e-10 the
-# tests ask for, but 5e-11 at 1e-6.
+# SVT thresholds below GRAM_MIN_TAU * sigma_max take the exact R-factor route.
+# Measured against the SVD on every SVT input of the scaled scene's solve and
+# on a matrix with sigma from 1 to 1e-12, the Gram route's relative error
+# grows about as 1 / tau: at most 9e-12 for tau >= 1e-5 sigma_max, 10x inside
+# the 1e-10 the tests ask for, but 5e-11 at 1e-6.
 GRAM_MIN_TAU = 1e-5
 
 
@@ -89,9 +90,9 @@ def soft_threshold(a, eta: float):
 
 
 def _short_side(M: np.ndarray) -> tuple[np.ndarray, bool]:
-    """M, or M^H when M has more rows than columns, and whether it was flipped."""
+    """M, or its view M^T (same singular values) when M is tall, and whether it was flipped."""
     tall = M.shape[0] > M.shape[1]
-    return (M.conj().T if tall else M), tall
+    return (M.T if tall else M), tall
 
 
 def _gram_spectrum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,46 +104,42 @@ def _gram_spectrum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(w, 0.0)), U
 
 
-def _svd_threshold(M: np.ndarray, tau: float) -> np.ndarray:
+def _r_factor_svd(A: np.ndarray, compute_uv: bool = True):
+    """SVD of the n x n R = conj(qr(A^T).R), with R^H R = A A^H, for a short-side A.
+
+    With R = U_R s V^H, s holds A's singular values (descending) and the
+    columns of V its left singular vectors, both as accurate as a full SVD.
+    A^T is a view of A, so no conjugated copy of A is made.
+    """
     try:
-        U, sig, Vh = np.linalg.svd(M, full_matrices=False)
+        R = np.linalg.qr(A.T, mode="r").conj()
+        return np.linalg.svd(R, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(str(exc)) from exc
-    sig = np.maximum(sig - tau, 0.0)
-    keep = sig > 0
-    return (U[:, keep] * sig[keep]) @ Vh[keep]
 
 
 def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
-    """U diag(max(sigma - tau, 0)) V^H, from the Gram matrix of M's short side.
+    """U diag(max(sigma - tau, 0)) V^H, from the left singular vectors of M's short side.
 
     With A the short-side orientation of M, the kept part is
-    U_k diag(1 - tau / sigma_k) U_k^H A, which needs only eigh of the small
-    A A^H instead of a thin SVD of the wide M.  Thresholds below
-    GRAM_MIN_TAU * sigma_max fall back to LAPACK's SVD (see GRAM_MIN_TAU).
+    U_k diag(1 - tau / sigma_k) U_k^H A.  U and sigma come from eigh of the
+    small Gram matrix A A^H, or, for thresholds below GRAM_MIN_TAU *
+    sigma_max, from the exact R factor (see GRAM_MIN_TAU).
     """
     A, tall = _short_side(M)
     sig, U = _gram_spectrum(A)
     if tau < GRAM_MIN_TAU * sig[-1]:
-        return _svd_threshold(M, tau)
+        _, sig, Vh = _r_factor_svd(A)
+        U = Vh.conj().T
     keep = sig > tau
     Uk = U[:, keep]
     out = (Uk * (1.0 - tau / sig[keep])) @ (Uk.conj().T @ A)
-    return out.conj().T if tall else out
+    return out.T if tall else out
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """All singular values of M, descending, as accurate as a full SVD.
-
-    The R factor of the tall orientation's QR has M's singular values, so
-    only a min(n1, n2)-square SVD remains.
-    """
-    A, _ = _short_side(M)
-    try:
-        R = np.linalg.qr(A.conj().T, mode="r")
-        return np.linalg.svd(R, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdFailure(str(exc)) from exc
+    """All singular values of M, descending, as accurate as a full SVD."""
+    return _r_factor_svd(_short_side(M)[0], compute_uv=False)
 
 
 def spectral_norm(M: np.ndarray) -> float:

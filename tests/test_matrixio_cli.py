@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sarlrs.rpca
 import sarlrs.simulate
 from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
 from sarlrs.errors import ConfigError
@@ -201,6 +202,22 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
         sigma = np.array([float(r["sigma"]) for r in rows if r["matrix"] == name])
         assert sigma.shape == ref.shape, name
         assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0], name
+
+
+def test_cli_pipeline_not_converged_writes_outputs_then_exits_3(tmp_path, monkeypatch):
+    cfg = _scaled_config(tmp_path)
+    out = tmp_path / "run"
+    windowed = sarlrs.rpca.decompose_windowed
+    capped = lambda D, w, config: windowed(D, w, sarlrs.rpca.RpcaConfig(eta=config.eta,
+                                                                       max_iter=2))
+    monkeypatch.setattr(sarlrs.rpca, "decompose_windowed", capped)
+    assert main(["pipeline", "--config", str(cfg), "--eta", "optimal",
+                 "--grid-extent", "20", "--grid-pixels", "11",
+                 "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rpca"]["converged"] is False
+    assert summary["rpca"]["iterations"] == 2
+    assert (out / "image_S.pgm").exists()
 
 
 def test_cli_analyze_reports(tmp_path, monkeypatch):

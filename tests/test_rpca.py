@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sarlrs import rpca
-from sarlrs.errors import ConfigError
+from sarlrs.errors import ConfigError, SvdFailure
 from sarlrs.rpca import (Decomposition, RpcaConfig, decompose,
                          decompose_windowed, singular_value_threshold,
                          singular_values, soft_threshold, spectral_norm)
@@ -88,14 +88,44 @@ def test_svt_matches_svd_reference(name, where, monkeypatch):
            "between": 0.5 * (sig[2] + sig[3]),
            "guard": 1e-9 * sig[0]}[where]  # below GRAM_MIN_TAU * sigma_max
     fallbacks = []
-    svd_threshold = rpca._svd_threshold
-    monkeypatch.setattr(rpca, "_svd_threshold",
-                        lambda M, tau: fallbacks.append(tau) or svd_threshold(M, tau))
+    r_factor_svd = rpca._r_factor_svd
+    monkeypatch.setattr(rpca, "_r_factor_svd",
+                        lambda A: fallbacks.append(A.shape) or r_factor_svd(A))
     ref = svd_threshold_reference(M, tau)
     out = singular_value_threshold(M, tau)
     assert out.shape == M.shape and out.dtype == M.dtype
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     assert len(fallbacks) == (0 if where == "between" else 1)
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+def test_svd_only_sees_the_square_r_factor(tall, monkeypatch):
+    rng = np.random.default_rng(12)
+    D = rng.standard_normal((30, 5)) @ rng.standard_normal((5, 120))
+    D[rng.random(D.shape) < 0.05] += 1.0
+    D = D.T.copy() if tall else D
+    inputs = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **k: inputs.append(a.shape) or svd(a, **k))
+    out = decompose(D, RpcaConfig(tol=1e-7))
+    assert out.converged
+    # one SVD for the final rank; the others are SVT steps below the guard
+    assert len(inputs) >= 2
+    assert set(inputs) == {(30, 30)}
+
+
+def test_r_factor_route_raises_svd_failure(monkeypatch):
+    M = SVT_MATRICES["wide-complex"]
+    smax = np.linalg.svd(M, compute_uv=False)[0]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("QR did not converge")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    with pytest.raises(SvdFailure):
+        singular_value_threshold(M, 1e-9 * smax)
+    with pytest.raises(SvdFailure):
+        singular_values(M)
 
 
 def test_spectral_norm_matches_svd():
