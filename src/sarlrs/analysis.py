@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,11 +159,10 @@ class SeparationMetrics:
     capture: float    # energy of the moving-target reference found in S
     leakage: float    # fraction of S supported on the stationary traces
     residual: float
-    fields: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {"capture": self.capture, "leakage": self.leakage,
-                "residual": self.residual, **self.fields}
+                "residual": self.residual}
 
 
 def separation_metrics_from_matrices(S, moving_reference, stationary_reference,

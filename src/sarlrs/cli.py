@@ -1,7 +1,11 @@
-"""Command-line pipeline: simulate -> baseband -> decompose -> analyze -> image.
+"""Command-line pipeline: simulate -> baseband -> decompose -> eta, metrics, images.
 
-Exit codes: 0 success, 1 configuration error, 2 physics/gate error,
-3 numerical failure.
+`simulate`, `baseband`, `decompose` and `pipeline` all call one staged run,
+`_run`, which stops after the stage the subcommand names: each is a prefix of
+`pipeline`.  `eta`, `image` and `analyze` take their own short paths.
+
+Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
+3 numerical failure (RPCA did not converge; raised after the outputs are written).
 """
 
 from __future__ import annotations
@@ -61,9 +65,10 @@ def _first_mover(sc: Scenario) -> Target:
     raise ConfigError("scenario has no moving target")
 
 
-def _resolve_eta(mode: str, sc: Scenario, shape) -> tuple[float, str]:
+def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
     if mode == "conventional":
-        return eta.conventional_eta(*shape), "conventional"
+        rows, cols = sc.platform.pulse_count, simulate.fast_times(sc).size  # the shape of D
+        return eta.conventional_eta(rows, cols), "conventional"
     if mode == "optimal":
         params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
         return eta.eta_bounds_baseband(params).eta_star, "analytic-optimal"
@@ -81,12 +86,39 @@ def _baseband_matrix(sc: Scenario, D: np.ndarray) -> np.ndarray:
     return baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
 
 
-def _decompose(sc: Scenario, D: np.ndarray, args):
-    DB = _baseband_matrix(sc, D)
-    eta_value, eta_mode = _resolve_eta(args.eta, sc, DB.shape)
+def _decompose(DB: np.ndarray, args, eta_value: float, eta_mode: str):
+    """RPCA of DB and the report written to rpca_report.json and summary.json."""
     config = rpca.RpcaConfig(eta="conventional" if eta_mode == "conventional" else eta_value)
     dec = rpca.decompose_windowed(DB, args.windows, config)
-    return DB, dec, eta_value, eta_mode
+    return dec, {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
+                 "iterations": dec.iterations, "residual": dec.residual, "rank_L": dec.rank,
+                 "nnz_S": dec.sparse_count, "converged": dec.converged}
+
+
+def _exit_status(dec) -> int:
+    if not dec.converged:
+        raise NumericalError("RPCA did not converge within the iteration cap")
+    return EXIT_OK
+
+
+def _eta_bounds(sc: Scenario) -> dict:
+    params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
+    return {
+        "baseband": eta.eta_bounds_baseband(params).as_dict(),
+        "original": eta.eta_bounds_original(params).as_dict(),
+        "conventional": _resolve_eta("conventional", sc)[0],
+    }
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _write_pgm(path, mag: np.ndarray) -> None:
@@ -100,7 +132,7 @@ def _write_pgm(path, mag: np.ndarray) -> None:
 def _write_image(out: Path, name: str, img: imaging.KmImage) -> None:
     mag = img.magnitude()
     _write_pgm(out / f"{name}.pgm", mag)
-    sidecar = {
+    _write_json(out / f"{name}.json", {
         "source": img.source,
         "center_m": list(img.grid.center),
         "extent_m": [img.grid.extent_x, img.grid.extent_y],
@@ -108,8 +140,7 @@ def _write_image(out: Path, name: str, img: imaging.KmImage) -> None:
         "dynamic_range": float(mag.max() / np.median(mag)) if np.median(mag) > 0 else None,
         "out_of_gate": img.out_of_gate,
         "peaks": imaging.peak_report(img),
-    }
-    (out / f"{name}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    })
 
 
 def _grid(args, sc: Scenario) -> imaging.ImagingGrid:
@@ -118,51 +149,67 @@ def _grid(args, sc: Scenario) -> imaging.ImagingGrid:
                                nx=args.grid_pixels, ny=args.grid_pixels)
 
 
-def cmd_simulate(args) -> int:
+def _run(args, last: str) -> int:
+    """Run the stages simulate, baseband, decompose, pipeline in order, up to `last`."""
     sc = _load(args)
+    # a bad --eta is a configuration error before any stage writes a file
+    eta_used = _resolve_eta(args.eta, sc) if last in ("decompose", "pipeline") else None
     out = _outdir(args)
     D = simulate.synthesize_downramped(sc)
     matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
     (out / "scenario.json").write_text(serialize_scenario(sc))
-    return EXIT_OK
+    if last == "simulate":
+        return EXIT_OK
+    DB = _baseband_matrix(sc, D)
+    matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
+    if last == "baseband":
+        return EXIT_OK
+    dec, report = _decompose(DB, args, *eta_used)
+    matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
+    matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
+    _write_json(out / "rpca_report.json", report)
+    if last == "decompose":
+        return _exit_status(dec)
+
+    used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
+    _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc)})
+    _write_csv(out / "spectra.csv", [
+        {"matrix": name, "k": k, "sigma": float(s)}
+        for name, M in (("D", D), ("DB", DB), ("L", dec.L), ("S", dec.S))
+        for k, s in enumerate(rpca.singular_values(M)[:64])])
+    metrics = analysis.separation_metrics(dec, sc).as_dict()
+    _write_json(out / "metrics.json", metrics)
+    grid = _grid(args, sc)
+    for name, data, v in (("D", DB, (0, 0, 0)), ("L", dec.L, (0, 0, 0)),
+                          ("S", dec.S, _first_mover(sc).velocity)):
+        img = imaging.migrate(data, sc, grid, hypothesis_velocity=v, source=name)
+        _write_image(out, f"image_{name}", img)
+    _write_json(out / "summary.json", {"scenario_hash": scenario_hash(sc), "eta": used,
+                                       "rpca": report, "metrics": metrics})
+    return _exit_status(dec)
+
+
+def cmd_simulate(args) -> int:
+    return _run(args, "simulate")
 
 
 def cmd_baseband(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
-    DB = _baseband_matrix(sc, simulate.synthesize_downramped(sc))
-    matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
-    return EXIT_OK
+    return _run(args, "baseband")
 
 
 def cmd_decompose(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
-    _, dec, eta_value, eta_mode = _decompose(sc, simulate.synthesize_downramped(sc), args)
-    matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
-    matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
-    report = {
-        "eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
-        "iterations": dec.iterations, "residual": dec.residual,
-        "rank_L": dec.rank, "nnz_S": dec.sparse_count, "converged": dec.converged,
-    }
-    (out / "rpca_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    if not dec.converged:
-        raise NumericalError("RPCA did not converge within the iteration cap")
-    return EXIT_OK
+    return _run(args, "decompose")
+
+
+def cmd_pipeline(args) -> int:
+    return _run(args, "pipeline")
 
 
 def cmd_eta(args) -> int:
     sc = _load(args)
     out = _outdir(args)
-    params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
-    report = {
-        "baseband": eta.eta_bounds_baseband(params).as_dict(),
-        "original": eta.eta_bounds_original(params).as_dict(),
-        "conventional": eta.conventional_eta(
-            sc.platform.pulse_count, simulate.fast_times(sc).size),
-    }
-    (out / "eta_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    report = _eta_bounds(sc)
+    _write_json(out / "eta_report.json", report)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -170,21 +217,25 @@ def cmd_eta(args) -> int:
 def cmd_image(args) -> int:
     sc = _load(args)
     out = _outdir(args)
-    velocity = [float(x) for x in args.velocity.split(",")] if args.velocity else [0.0, 0.0, 0.0]
+    try:
+        velocity = [float(x) for x in args.velocity.split(",")] if args.velocity else [0.0] * 3
+    except ValueError:
+        velocity = []
     if len(velocity) != 3:
         raise ConfigError("--velocity must be vx,vy,vz")
     grid = _grid(args, sc)
     data = simulate.synthesize_downramped(sc)
-    if args.source == "DB":
+    dec = None
+    if args.source != "D":
         data = _baseband_matrix(sc, data)
-    elif args.source in ("L", "S"):
-        _, dec, _, _ = _decompose(sc, data, args)
+    if args.source in ("L", "S"):
+        dec, _ = _decompose(data, args, *_resolve_eta(args.eta, sc))
         data = dec.L if args.source == "L" else dec.S
     img = imaging.migrate(data, sc, grid, hypothesis_velocity=velocity, source=args.source)
     _write_image(out, f"image_{args.source}", img)
     if args.csv:
         np.savetxt(out / f"image_{args.source}.csv", img.magnitude(), delimiter=",")
-    return EXIT_OK
+    return EXIT_OK if dec is None else _exit_status(dec)
 
 
 def cmd_analyze(args) -> int:
@@ -222,10 +273,7 @@ def cmd_analyze(args) -> int:
             "eta_star_empirical": np.sqrt(eta_min_bb * eta_max_bb),
             "eta_star_analytic": eta.eta_bounds_baseband(params).eta_star,
         })
-    with open(out / "velocity_sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "velocity_sweep.csv", rows)
 
     # eta* sensitivity to the number of stationary targets
     rng = np.random.default_rng(7)
@@ -238,67 +286,13 @@ def cmd_analyze(args) -> int:
         emin = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(sc.with_targets(targets)))
         stat_rows.append({"stationary_count": count, "eta_min_empirical": emin,
                           "eta_star_empirical": float(np.sqrt(emin * emax))})
-    with open(out / "stationary_count_sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(stat_rows[0]))
-        writer.writeheader()
-        writer.writerows(stat_rows)
+    _write_csv(out / "stationary_count_sweep.csv", stat_rows)
 
     report = analysis.nuclear_velocity_exponent(
         sc, mover.position, np.geomspace(SWEEP_SPEEDS[0], SWEEP_SPEEDS[0] * 10, 5),
         direction)
     summary = {"beta": report["beta"], "frobenius_slope": report["frobenius_slope"]}
-    (out / "analysis_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return EXIT_OK
-
-
-def cmd_pipeline(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
-    D = simulate.synthesize_downramped(sc)
-    matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
-    DB, dec, eta_value, eta_mode = _decompose(sc, D, args)
-    matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
-    matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
-    matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
-
-    params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
-    eta_report = {
-        "used": {"value": eta_value, "mode": eta_mode, "windows": args.windows},
-        "baseband": eta.eta_bounds_baseband(params).as_dict(),
-        "original": eta.eta_bounds_original(params).as_dict(),
-    }
-    (out / "eta_report.json").write_text(json.dumps(eta_report, indent=2) + "\n")
-
-    spec_rows = []
-    for name, M in (("D", D), ("DB", DB), ("L", dec.L), ("S", dec.S)):
-        sig = rpca.singular_values(M)
-        for k, s in enumerate(sig[:min(64, sig.size)]):
-            spec_rows.append({"matrix": name, "k": k, "sigma": float(s)})
-    with open(out / "spectra.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["matrix", "k", "sigma"])
-        writer.writeheader()
-        writer.writerows(spec_rows)
-
-    metrics = analysis.separation_metrics(dec, sc)
-    (out / "metrics.json").write_text(json.dumps(metrics.as_dict(), indent=2) + "\n")
-
-    grid = _grid(args, sc)
-    velocity = _first_mover(sc).velocity
-    for name, data, v in (("D", DB, (0, 0, 0)), ("L", dec.L, (0, 0, 0)),
-                          ("S", dec.S, velocity)):
-        img = imaging.migrate(data, sc, grid, hypothesis_velocity=v, source=name)
-        _write_image(out, f"image_{name}", img)
-
-    summary = {
-        "scenario_hash": scenario_hash(sc),
-        "eta": eta_report["used"],
-        "rpca": {"iterations": dec.iterations, "residual": dec.residual,
-                 "rank_L": dec.rank, "converged": dec.converged},
-        "metrics": metrics.as_dict(),
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    if not dec.converged:
-        raise NumericalError("RPCA did not converge within the iteration cap")
+    _write_json(out / "analysis_summary.json", summary)
     return EXIT_OK
 
 
@@ -322,10 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--regime", choices=["gotcha", "scaled"],
                        help="built-in scenario to use when --config is absent")
         p.add_argument("--out", default="runs/latest", help="output directory")
-        p.add_argument("--eta", default="conventional",
-                       help="conventional | optimal | explicit value")
-        p.add_argument("--windows", type=int, default=1,
-                       help="consecutive slow-time blocks for RPCA")
+        if name in ("decompose", "image", "pipeline"):
+            p.add_argument("--eta", default="conventional",
+                           help="conventional | optimal | explicit value")
+            p.add_argument("--windows", type=int, default=1,
+                           help="consecutive slow-time blocks for RPCA")
         if name == "image":
             p.add_argument("--source", choices=["D", "DB", "L", "S"], default="D")
             p.add_argument("--velocity", help="hypothesis velocity vx,vy,vz [m/s]")
@@ -339,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
         return args.fn(args)
     except (ConfigError, FileNotFoundError) as exc:

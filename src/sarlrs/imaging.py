@@ -8,7 +8,7 @@ input additionally needs the carrier phase restored per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class KmImage:
     grid: ImagingGrid
     source: str = "D"
     out_of_gate: int = 0        # pixel-samples that fell outside the gate
-    meta: dict = field(default_factory=dict)
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)

@@ -36,10 +36,6 @@ class Pulse:
         if self.carrier_angular_frequency <= 0 or self.bandwidth_parameter <= 0:
             raise ConfigError("pulse frequencies must be positive")
 
-    @property
-    def narrowband(self) -> bool:
-        return self.carrier_angular_frequency / self.bandwidth_parameter >= 10.0
-
 
 @dataclass(frozen=True)
 class Platform:

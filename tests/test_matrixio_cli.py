@@ -220,6 +220,67 @@ def test_cli_pipeline_not_converged_writes_outputs_then_exits_3(tmp_path, monkey
     assert (out / "image_S.pgm").exists()
 
 
+def test_cli_image_bad_velocity_is_config_error(tmp_path):
+    cfg = _scaled_config(tmp_path)
+    for velocity in ("a,b,c", "1,2"):
+        assert main(["image", "--config", str(cfg), "--velocity", velocity,
+                     "--out", str(tmp_path / "x")]) == 1
+
+
+def test_cli_image_not_converged_writes_image_then_exits_3(tmp_path, monkeypatch):
+    cfg = _scaled_config(tmp_path)
+    out = tmp_path / "run"
+    windowed = sarlrs.rpca.decompose_windowed
+    capped = lambda D, w, config: windowed(D, w, sarlrs.rpca.RpcaConfig(eta=config.eta,
+                                                                       max_iter=2))
+    monkeypatch.setattr(sarlrs.rpca, "decompose_windowed", capped)
+    assert main(["image", "--config", str(cfg), "--source", "S", "--eta", "optimal",
+                 "--grid-extent", "20", "--grid-pixels", "11", "--out", str(out)]) == 3
+    assert (out / "image_S.pgm").exists() and (out / "image_S.json").exists()
+
+
+def test_cli_stages_are_prefixes_of_pipeline(tmp_path):
+    cfg = _scaled_config(tmp_path)
+    runs = {stage: tmp_path / stage for stage in ("simulate", "baseband", "decompose", "pipeline")}
+    for stage, out in runs.items():
+        solve = ["--eta", "optimal"] if stage in ("decompose", "pipeline") else []
+        grid = ["--grid-extent", "20", "--grid-pixels", "11"] if stage == "pipeline" else []
+        assert main([stage, "--config", str(cfg), "--out", str(out), *solve, *grid]) == 0
+    # each stage writes its own files and those of every stage before it
+    for name, writers in (("D.sarm", 4), ("scenario.json", 4), ("DB.sarm", 3)):
+        written = [(out / name).read_bytes() for out in runs.values() if (out / name).exists()]
+        assert len(written) == writers, name
+        assert all(data == written[0] for data in written), name
+    for name in ("L.sarm", "S.sarm"):
+        a = read_matrix(runs["decompose"] / name)[0]
+        b = read_matrix(runs["pipeline"] / name)[0]
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name  # threaded BLAS
+    summary = json.loads((runs["pipeline"] / "summary.json").read_text())
+    assert json.loads((runs["pipeline"] / "rpca_report.json").read_text()) == summary["rpca"]
+
+
+def test_cli_usage_errors_exit_1(tmp_path):
+    out = ["--out", str(tmp_path / "x")]
+    assert main(["simulate", "--bogus"]) == 1
+    assert main([]) == 1
+    assert main(["simulate", "--regime", "nowhere", *out]) == 1
+    assert main(["decompose", "--regime", "scaled", "--windows", "x", *out]) == 1
+    assert main(["pipeline", "--regime", "scaled", "--eta", "bogus", *out]) == 1
+    assert not (tmp_path / "x").exists()  # rejected before any stage writes a file
+    assert main(["simulate", "--help"]) == 0
+
+
+def test_cli_options_only_where_read(tmp_path):
+    # --eta and --windows only reach the RPCA stage; elsewhere they are usage errors
+    for command in ("simulate", "baseband", "eta", "analyze"):
+        assert main([command, "--regime", "scaled", "--eta", "bogus", "--windows", "-3",
+                     "--out", str(tmp_path / "x")]) == 1, command
+    settable = sum(len(sub._actions) - 1  # every action but -h
+                   for action in build_parser()._subparsers._group_actions
+                   for sub in action.choices.values())
+    assert settable == 34
+
+
 def test_cli_analyze_reports(tmp_path, monkeypatch):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
