@@ -81,6 +81,13 @@ def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
     return value, "explicit"
 
 
+def _rpca_settings(args, sc: Scenario) -> tuple[float, str]:
+    """The eta value and mode, after checking --windows against the pulse count."""
+    if not 1 <= args.windows <= sc.platform.pulse_count:
+        raise ConfigError("--windows must be in [1, pulse count]")
+    return _resolve_eta(args.eta, sc)
+
+
 def _baseband_matrix(sc: Scenario, D: np.ndarray) -> np.ndarray:
     t = simulate.fast_times(sc)
     return baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
@@ -152,8 +159,9 @@ def _grid(args, sc: Scenario) -> imaging.ImagingGrid:
 def _run(args, last: str) -> int:
     """Run the stages simulate, baseband, decompose, pipeline in order, up to `last`."""
     sc = _load(args)
-    # a bad --eta is a configuration error before any stage writes a file
-    eta_used = _resolve_eta(args.eta, sc) if last in ("decompose", "pipeline") else None
+    # bad --eta, --windows or grid options are configuration errors before any stage writes
+    eta_used = _rpca_settings(args, sc) if last in ("decompose", "pipeline") else None
+    grid = _grid(args, sc) if last == "pipeline" else None
     out = _outdir(args)
     D = simulate.synthesize_downramped(sc)
     matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
@@ -179,7 +187,6 @@ def _run(args, last: str) -> int:
         for k, s in enumerate(rpca.singular_values(M)[:64])])
     metrics = analysis.separation_metrics(dec, sc).as_dict()
     _write_json(out / "metrics.json", metrics)
-    grid = _grid(args, sc)
     for name, data, v in (("D", DB, (0, 0, 0)), ("L", dec.L, (0, 0, 0)),
                           ("S", dec.S, _first_mover(sc).velocity)):
         img = imaging.migrate(data, sc, grid, hypothesis_velocity=v, source=name)
@@ -216,7 +223,6 @@ def cmd_eta(args) -> int:
 
 def cmd_image(args) -> int:
     sc = _load(args)
-    out = _outdir(args)
     try:
         velocity = [float(x) for x in args.velocity.split(",")] if args.velocity else [0.0] * 3
     except ValueError:
@@ -224,12 +230,14 @@ def cmd_image(args) -> int:
     if len(velocity) != 3:
         raise ConfigError("--velocity must be vx,vy,vz")
     grid = _grid(args, sc)
+    eta_used = _rpca_settings(args, sc) if args.source in ("L", "S") else None
+    out = _outdir(args)
     data = simulate.synthesize_downramped(sc)
     dec = None
     if args.source != "D":
         data = _baseband_matrix(sc, data)
-    if args.source in ("L", "S"):
-        dec, _ = _decompose(data, args, *_resolve_eta(args.eta, sc))
+    if eta_used:
+        dec, _ = _decompose(data, args, *eta_used)
         data = dec.L if args.source == "L" else dec.S
     img = imaging.migrate(data, sc, grid, hypothesis_velocity=velocity, source=args.source)
     _write_image(out, f"image_{args.source}", img)

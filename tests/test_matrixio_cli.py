@@ -166,6 +166,20 @@ def test_cli_bad_eta_value(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--windows", "0"],
+    ["decompose", "--windows", "102"],  # the scaled scene has 101 pulses
+    ["pipeline", "--grid-pixels", "1"],
+    ["image", "--source", "S", "--windows", "0"],
+], ids=["decompose-windows-0", "decompose-windows-102", "pipeline-grid-pixels-1",
+        "image-windows-0"])
+def test_cli_bad_settings_fail_before_any_output(tmp_path, argv):
+    cfg = _scaled_config(tmp_path)
+    out = tmp_path / "run"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_simulate_deterministic(tmp_path):
     cfg = _scaled_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,13 +1,109 @@
+import math
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from sarlrs import simulate
 from sarlrs.errors import GateTooNarrow
-from sarlrs.scenario import C_LIGHT, SamplingGrid, Target
-from sarlrs.simulate import (column_support, delta_tau, fast_time_gate,
-                             fast_times, synthesize_baseband_direct,
-                             synthesize_downramped, travel_time)
+from sarlrs.scenario import C_LIGHT, SamplingGrid, Target, load_scenario
+from sarlrs.simulate import (ENVELOPE_ZERO, column_support, delta_tau,
+                             fast_time_gate, fast_times,
+                             synthesize_baseband_direct, synthesize_downramped,
+                             travel_time)
 
 from conftest import make_scenario, moving_target, stationary_target
+
+
+def shipped(regime):
+    with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
+        return load_scenario(p)
+
+
+def pinned(sc):
+    """The scene with its auto gate made explicit, as separation_metrics pins it."""
+    return replace(sc, sampling=SamplingGrid(sc.sampling.delta_t, *fast_time_gate(sc)))
+
+
+def window_columns(sc):
+    """Columns per row that band-limited synthesis evaluates for each target."""
+    B = sc.pulse.bandwidth_parameter
+    return math.ceil(2.0 * ENVELOPE_ZERO / (B * sc.sampling.delta_t)) + 3
+
+
+def dense_synthesize(scenario, dtype, carrier):
+    """Reference: every target's envelope evaluated on the whole fast-time grid."""
+    t = fast_times(scenario)
+    M = np.zeros((scenario.platform.pulse_count, t.size), dtype=dtype)
+    if not scenario.targets:
+        return M
+    delays = simulate._all_delays(scenario)
+    simulate._check_gate(scenario, delays, t)
+    w0 = scenario.pulse.carrier_angular_frequency
+    B = scenario.pulse.bandwidth_parameter
+    for tgt, dtau in zip(scenario.targets, delays):
+        arg = t[None, :] - dtau[:, None]
+        M += tgt.reflectivity * (carrier(w0, arg, dtau) * np.exp(-B * B * arg * arg / 2.0))
+    return M
+
+
+def dense_downramped(sc):
+    return dense_synthesize(sc, float, lambda w0, arg, dtau: np.cos(w0 * arg))
+
+
+def dense_baseband(sc):
+    return dense_synthesize(sc, complex, lambda w0, arg, dtau: np.exp(1j * w0 * dtau)[:, None])
+
+
+def _edge_clipped():
+    # two targets 300 m apart: the gate is wider than a window, and
+    # each target's window runs past one edge of the gate and is clipped there
+    sc = make_scenario([stationary_target((-150.0, 0.0, 0.0)),
+                        moving_target(12.0, (150.0, 3.0, 0.0))], n=20)
+    assert window_columns(sc) < fast_times(sc).size
+    return sc
+
+
+def _wider_than_gate():
+    sc = make_scenario([stationary_target()], n=20)
+    assert window_columns(sc) >= fast_times(sc).size
+    return sc
+
+
+ORACLE_SCENES = {
+    "scaled": lambda: shipped("scaled"),
+    "gotcha": lambda: shipped("gotcha"),
+    "gotcha-moving-pinned": lambda: pinned(shipped("gotcha")).moving_only(),
+    "gotcha-stationary-pinned": lambda: pinned(shipped("gotcha")).stationary_only(),
+    "edge-clipped": _edge_clipped,
+    "wider-than-gate": _wider_than_gate,
+    "empty": lambda: make_scenario([]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_band_limited_synthesis_is_byte_identical_to_dense(name):
+    sc = ORACLE_SCENES[name]()
+    for fast, dense in ((synthesize_downramped, dense_downramped),
+                        (synthesize_baseband_direct, dense_baseband)):
+        got, ref = fast(sc), dense(sc)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_gotcha_synthesis_evaluates_only_the_envelope_windows(monkeypatch):
+    sc = shipped("gotcha")
+    rows, cols = sc.platform.pulse_count, fast_times(sc).size
+    width = window_columns(sc)
+    assert width < cols
+    evaluated = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp",
+                        lambda x, *a, **k: evaluated.append(np.size(x)) or exp(x, *a, **k))
+    synthesize_downramped(sc)
+    # a dense evaluation would be len(targets) * rows * cols = 6 * 237 * 31674
+    assert sum(evaluated) <= len(sc.targets) * rows * width
 
 
 def test_travel_time_coincident_point_is_zero():
