@@ -17,8 +17,8 @@ t = dtau_i(s_j), ENVELOPE_ZERO/B to each side plus one guard column (about
 4 900 of gotcha's 31 674 columns).  Inside the window the same expression is
 evaluated on the same t values as a dense evaluation; outside it every term
 would be +-0.0, and adding a signed zero changes no entry.  The result is
-therefore byte-identical to evaluating every target on the whole grid.  When
-the window is at least as wide as the gate, whole rows are used.
+therefore byte-identical to evaluating every target on the whole grid.  A
+window at least as wide as the gate is cut to it, so each row is then whole.
 """
 
 from __future__ import annotations
@@ -110,22 +110,18 @@ def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
     B = scenario.pulse.bandwidth_parameter
     dt = scenario.sampling.delta_t
     # with Z = ENVELOPE_ZERO and a = (dtau - Z/B - t0)/dt, columns floor(a) - 1 to
-    # floor(a) + ceil(2 Z/(B dt)) + 1 hold every |t - dtau| <= Z/B and one guard column each side
-    width = math.ceil(2.0 * ENVELOPE_ZERO / (B * dt)) + 3
+    # floor(a) + ceil(2 Z/(B dt)) + 1 hold every |t - dtau| <= Z/B and one guard column
+    # each side; a window wider than the gate is cut to it, and then starts at column 0
+    width = min(math.ceil(2.0 * ENVELOPE_ZERO / (B * dt)) + 3, cols)
     for tgt, dtau in zip(scenario.targets, delays):
-        if width < cols:
-            # one row at a time: a row's temporaries (tens of kB) are reused from the
-            # heap, while freeing (rows, width) ones would raise glibc's dynamic mmap
-            # threshold and with it the peak RSS of the stages that follow
-            starts = np.floor((dtau - ENVELOPE_ZERO / B - t[0]) / dt).astype(np.intp) - 1
-            spans = [(slice(j, j + 1), c, width)
-                     for j, c in enumerate(np.clip(starts, 0, cols - width).tolist())]
-        else:
-            spans = [(slice(None), 0, cols)]
-        for rows, c, w in spans:
-            arg = t[None, c:c + w] - dtau[rows, None]
-            M[rows, c:c + w] += tgt.reflectivity * (carrier(w0, arg, dtau[rows])
-                                                    * np.exp(-B * B * arg * arg / 2.0))
+        starts = np.floor((dtau - ENVELOPE_ZERO / B - t[0]) / dt).astype(np.intp) - 1
+        # one row at a time: a row's temporaries (tens of kB) are reused from the
+        # heap, while freeing (rows, width) ones would raise glibc's dynamic mmap
+        # threshold and with it the peak RSS of the stages that follow
+        for j, c in enumerate(np.clip(starts, 0, cols - width).tolist()):
+            arg = t[c:c + width] - dtau[j]
+            M[j, c:c + width] += tgt.reflectivity * (carrier(w0, arg, dtau[j])
+                                                     * np.exp(-B * B * arg * arg / 2.0))
     return M
 
 
@@ -137,7 +133,7 @@ def synthesize_downramped(scenario: Scenario) -> np.ndarray:
 def synthesize_baseband_direct(scenario: Scenario) -> np.ndarray:
     """Analytic complex-baseband matrix; oracle for the FFT filtering path."""
     return _synthesize(scenario, complex,
-                       lambda w0, arg, dtau: np.exp(1j * w0 * dtau)[:, None])
+                       lambda w0, arg, dtau: np.exp(1j * w0 * dtau))
 
 
 def column_support(scenario: Scenario, target: Target) -> int:
