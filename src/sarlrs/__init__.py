@@ -4,7 +4,7 @@ from .scenario import (Pulse, Platform, Target, SamplingGrid, Scenario,
                        load_scenario, save_scenario, scenario_hash)
 from .simulate import (travel_time, delta_tau, synthesize_downramped,
                        synthesize_baseband_direct, column_support)
-from .baseband import LowpassFilter, to_baseband, from_baseband
+from .baseband import to_baseband, from_baseband
 from .rpca import (RpcaConfig, Decomposition, soft_threshold,
                    singular_value_threshold, decompose, decompose_windowed)
 from .eta import (ApertureParams, EtaBounds, analytic_column_support,

@@ -59,7 +59,6 @@ class SpectrumReport:
     nuclear_norm: float
     frobenius_norm: float
     effective_support: int
-    model: np.ndarray | None = None   # analytic companion, same length
 
 
 def model_spectrum(params: ApertureParams, count: int) -> np.ndarray:
@@ -76,17 +75,15 @@ def model_spectrum(params: ApertureParams, count: int) -> np.ndarray:
     return amp * np.exp(-np.pi**2 * k**2 / (2.0 * (N * b_dt) ** 2))
 
 
-def spectrum(M, params: ApertureParams | None = None) -> SpectrumReport:
+def spectrum(M) -> SpectrumReport:
     """Singular values of M with the norms they give; raises SvdFailure."""
     sig = singular_values(np.asarray(M))
     n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig[0])) if sig[0] > 0 else 0
-    model = model_spectrum(params, sig.size) if params is not None else None
     return SpectrumReport(
         singular_values=sig,
         nuclear_norm=float(sig.sum()),
         frobenius_norm=float(np.sqrt(np.sum(sig**2))),
         effective_support=n_eff,
-        model=model,
     )
 
 

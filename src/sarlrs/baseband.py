@@ -8,8 +8,6 @@ is rejected.  Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CarrierAliased, ConfigError
@@ -19,25 +17,11 @@ from .scenario import Pulse
 # exp(-w^2 / (2 B^2)); at 6B the truncated tail is ~1e-8, which keeps the
 # round-trip error well below 1e-6 of the peak.  The image at 2*w0 needs
 # w0/B >= ~7 to stay outside; narrowband scenes (w0/B >= 10) always do.
-DEFAULT_PASSBAND_OVER_B = 6.0
+PASSBAND_OVER_B = 6.0
+PASSBAND_GAIN = 2.0
 
 
-@dataclass(frozen=True)
-class LowpassFilter:
-    passband_half_width: float  # [rad/s]
-    gain: float = 2.0
-
-    def __post_init__(self):
-        if self.passband_half_width <= 0:
-            raise ConfigError("passband half-width must be positive")
-
-    @classmethod
-    def for_pulse(cls, pulse: Pulse, width_over_b: float = DEFAULT_PASSBAND_OVER_B):
-        return cls(passband_half_width=width_over_b * pulse.bandwidth_parameter)
-
-
-def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0,
-                lowpass: LowpassFilter | None = None) -> np.ndarray:
+def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
     """Per-row FFT demodulation of a real matrix to complex baseband.
 
     t0 is the fast time of the first column; the mixer phase must use the
@@ -49,15 +33,13 @@ def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0,
     w0 = pulse.carrier_angular_frequency
     if w0 * delta_t >= np.pi:
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
-    if lowpass is None:
-        lowpass = LowpassFilter.for_pulse(pulse)
     m = D.shape[1]
     t = t0 + np.arange(m) * delta_t
     mixed = D * np.exp(1j * w0 * t)[None, :]
     spec = np.fft.fft(mixed, axis=1)
     w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
-    keep = np.abs(w) <= lowpass.passband_half_width
-    spec *= np.where(keep, lowpass.gain, 0.0)[None, :]
+    keep = np.abs(w) <= PASSBAND_OVER_B * pulse.bandwidth_parameter
+    spec *= np.where(keep, PASSBAND_GAIN, 0.0)[None, :]
     return np.fft.ifft(spec, axis=1)
 
 

@@ -1,8 +1,10 @@
 """Command-line pipeline: simulate -> baseband -> decompose -> eta, metrics, images.
 
-`simulate`, `baseband`, `decompose` and `pipeline` all call one staged run,
-`_run`, which stops after the stage the subcommand names: each is a prefix of
-`pipeline`.  `eta`, `image` and `analyze` take their own short paths.
+`simulate`, `baseband`, `decompose`, `image` and `pipeline` all call one staged
+run, `_run`, which stops after the stage the subcommand names: each is a prefix
+of `pipeline`.  `image` stops at the stage that makes its --source (D simulate,
+DB baseband, L and S decompose) and images that matrix.  `eta` and `analyze`
+take their own short paths.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge; raised after the outputs are written).
@@ -30,6 +32,9 @@ EXIT_PHYSICS = 2
 EXIT_NUMERICAL = 3
 
 SWEEP_SPEEDS = (1.5, 2.4, 3.8, 6.0, 9.5, 15.0)
+
+STAGES = ("simulate", "baseband", "decompose", "pipeline")
+SOURCE_STAGE = {"D": "simulate", "DB": "baseband", "L": "decompose", "S": "decompose"}
 
 
 def _load(args) -> Scenario:
@@ -102,12 +107,6 @@ def _decompose(DB: np.ndarray, args, eta_value: float, eta_mode: str):
                  "nnz_S": dec.sparse_count, "converged": dec.converged}
 
 
-def _exit_status(dec) -> int:
-    if not dec.converged:
-        raise NumericalError("RPCA did not converge within the iteration cap")
-    return EXIT_OK
-
-
 def _eta_bounds(sc: Scenario) -> dict:
     params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
     return {
@@ -156,44 +155,64 @@ def _grid(args, sc: Scenario) -> imaging.ImagingGrid:
                                nx=args.grid_pixels, ny=args.grid_pixels)
 
 
+def _velocity(text: str | None) -> list[float]:
+    try:
+        velocity = [float(x) for x in text.split(",")] if text else [0.0] * 3
+    except ValueError:
+        velocity = []
+    if len(velocity) != 3:
+        raise ConfigError("--velocity must be vx,vy,vz")
+    return velocity
+
+
 def _run(args, last: str) -> int:
-    """Run the stages simulate, baseband, decompose, pipeline in order, up to `last`."""
+    """Run the stages simulate, baseband, decompose, pipeline in order, up to `last`.
+
+    `last` == "image" runs up to the stage that makes --source, then images it.
+    """
     sc = _load(args)
-    # bad --eta, --windows or grid options are configuration errors before any stage writes
-    eta_used = _rpca_settings(args, sc) if last in ("decompose", "pipeline") else None
-    grid = _grid(args, sc) if last == "pipeline" else None
+    # bad --velocity, --eta, --windows or grid options are configuration errors
+    # before any stage writes
+    if last == "image":
+        last, images = SOURCE_STAGE[args.source], {args.source: _velocity(args.velocity)}
+    elif last == "pipeline":
+        images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
+    else:
+        images = {}
+    stages = STAGES[:STAGES.index(last) + 1]
+    eta_used = _rpca_settings(args, sc) if "decompose" in stages else None
+    grid = _grid(args, sc) if images else None
     out = _outdir(args)
     D = simulate.synthesize_downramped(sc)
     matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
     (out / "scenario.json").write_text(serialize_scenario(sc))
-    if last == "simulate":
-        return EXIT_OK
-    DB = _baseband_matrix(sc, D)
-    matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
-    if last == "baseband":
-        return EXIT_OK
-    dec, report = _decompose(DB, args, *eta_used)
-    matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
-    matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
-    _write_json(out / "rpca_report.json", report)
-    if last == "decompose":
-        return _exit_status(dec)
-
-    used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
-    _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc)})
-    _write_csv(out / "spectra.csv", [
-        {"matrix": name, "k": k, "sigma": float(s)}
-        for name, M in (("D", D), ("DB", DB), ("L", dec.L), ("S", dec.S))
-        for k, s in enumerate(rpca.singular_values(M)[:64])])
-    metrics = analysis.separation_metrics(dec, sc).as_dict()
-    _write_json(out / "metrics.json", metrics)
-    for name, data, v in (("D", DB, (0, 0, 0)), ("L", dec.L, (0, 0, 0)),
-                          ("S", dec.S, _first_mover(sc).velocity)):
-        img = imaging.migrate(data, sc, grid, hypothesis_velocity=v, source=name)
+    matrices, dec = {"D": D}, None
+    if "baseband" in stages:
+        DB = matrices["DB"] = _baseband_matrix(sc, D)
+        matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
+    if "decompose" in stages:
+        dec, report = _decompose(DB, args, *eta_used)
+        matrices.update(L=dec.L, S=dec.S)
+        matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
+        matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
+        _write_json(out / "rpca_report.json", report)
+    for name, v in images.items():
+        img = imaging.migrate(matrices[name], sc, grid, hypothesis_velocity=v, source=name)
         _write_image(out, f"image_{name}", img)
-    _write_json(out / "summary.json", {"scenario_hash": scenario_hash(sc), "eta": used,
-                                       "rpca": report, "metrics": metrics})
-    return _exit_status(dec)
+    if "pipeline" in stages:
+        used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
+        _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc)})
+        _write_csv(out / "spectra.csv", [
+            {"matrix": name, "k": k, "sigma": float(s)}
+            for name, M in matrices.items()
+            for k, s in enumerate(rpca.singular_values(M)[:64])])
+        metrics = analysis.separation_metrics(dec, sc).as_dict()
+        _write_json(out / "metrics.json", metrics)
+        _write_json(out / "summary.json", {"scenario_hash": scenario_hash(sc), "eta": used,
+                                           "rpca": report, "metrics": metrics})
+    if dec is not None and not dec.converged:
+        raise NumericalError("RPCA did not converge within the iteration cap")
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -208,6 +227,10 @@ def cmd_decompose(args) -> int:
     return _run(args, "decompose")
 
 
+def cmd_image(args) -> int:
+    return _run(args, "image")
+
+
 def cmd_pipeline(args) -> int:
     return _run(args, "pipeline")
 
@@ -219,31 +242,6 @@ def cmd_eta(args) -> int:
     _write_json(out / "eta_report.json", report)
     print(json.dumps(report, indent=2))
     return EXIT_OK
-
-
-def cmd_image(args) -> int:
-    sc = _load(args)
-    try:
-        velocity = [float(x) for x in args.velocity.split(",")] if args.velocity else [0.0] * 3
-    except ValueError:
-        velocity = []
-    if len(velocity) != 3:
-        raise ConfigError("--velocity must be vx,vy,vz")
-    grid = _grid(args, sc)
-    eta_used = _rpca_settings(args, sc) if args.source in ("L", "S") else None
-    out = _outdir(args)
-    data = simulate.synthesize_downramped(sc)
-    dec = None
-    if args.source != "D":
-        data = _baseband_matrix(sc, data)
-    if eta_used:
-        dec, _ = _decompose(data, args, *eta_used)
-        data = dec.L if args.source == "L" else dec.S
-    img = imaging.migrate(data, sc, grid, hypothesis_velocity=velocity, source=args.source)
-    _write_image(out, f"image_{args.source}", img)
-    if args.csv:
-        np.savetxt(out / f"image_{args.source}.csv", img.magnitude(), delimiter=",")
-    return EXIT_OK if dec is None else _exit_status(dec)
 
 
 def cmd_analyze(args) -> int:
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "image":
             p.add_argument("--source", choices=["D", "DB", "L", "S"], default="D")
             p.add_argument("--velocity", help="hypothesis velocity vx,vy,vz [m/s]")
-            p.add_argument("--csv", action="store_true", help="also dump raw |I| as CSV")
         if name in ("image", "pipeline"):
             p.add_argument("--grid-extent", type=float, default=60.0,
                            help="image half-extent [m]")
@@ -348,7 +345,7 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicsError as exc:

@@ -128,40 +128,61 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _vector(doc: dict, key: str) -> np.ndarray:
+    v = np.asarray(_require(doc, key), dtype=float)
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ConfigError(f"'{key}' must be 3 finite numbers")
+    return v
+
+
+def _finite(value) -> float | None:
+    """value as a finite float; None, an unset optional field, stays None."""
+    if value is None:
+        return None
+    x = float(value)
+    if not np.isfinite(x):
+        raise ConfigError(f"scenario JSON has a non-finite number: {value}")
+    return x
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         p = _require(doc, "pulse")
         pulse = Pulse(
-            carrier_angular_frequency=2 * np.pi * float(_require(p, "carrier_frequency_hz")),
-            bandwidth_parameter=2 * np.pi * float(_require(p, "bandwidth_frequency_hz")),
+            carrier_angular_frequency=2 * np.pi * _finite(_require(p, "carrier_frequency_hz")),
+            bandwidth_parameter=2 * np.pi * _finite(_require(p, "bandwidth_frequency_hz")),
         )
         pl = _require(doc, "platform")
+        pulse_count = _require(pl, "pulse_count")
+        if isinstance(pulse_count, bool) or not isinstance(pulse_count, int):
+            raise ConfigError("pulse_count must be an integer")
         platform = Platform(
-            position=_require(pl, "position_m"),
-            velocity=_require(pl, "velocity_mps"),
-            delta_s=float(_require(pl, "delta_s_seconds")),
-            pulse_count=int(_require(pl, "pulse_count")),
+            position=_vector(pl, "position_m"),
+            velocity=_vector(pl, "velocity_mps"),
+            delta_s=_finite(_require(pl, "delta_s_seconds")),
+            pulse_count=pulse_count,
         )
         sg = _require(doc, "sampling")
         sampling = SamplingGrid(
-            delta_t=float(_require(sg, "delta_t_seconds")),
-            gate_start=sg.get("gate_start_seconds"),
-            gate_end=sg.get("gate_end_seconds"),
+            delta_t=_finite(_require(sg, "delta_t_seconds")),
+            gate_start=_finite(sg.get("gate_start_seconds")),
+            gate_end=_finite(sg.get("gate_end_seconds")),
         )
         targets = tuple(
             Target(
-                position=_require(t, "position_m"),
-                velocity=_require(t, "velocity_mps"),
-                reflectivity=float(t.get("reflectivity", 1.0)),
+                position=_vector(t, "position_m"),
+                velocity=_vector(t, "velocity_mps"),
+                reflectivity=_finite(t.get("reflectivity", 1.0)),
             )
             for t in doc.get("targets", [])
         )
+        reference_point = _vector(doc, "reference_point_m")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario JSON: {exc}") from exc
     return Scenario(
         pulse=pulse,
         platform=platform,
-        reference_point=_require(doc, "reference_point_m"),
+        reference_point=reference_point,
         targets=targets,
         sampling=sampling,
     )
@@ -203,11 +224,13 @@ def serialize_scenario(sc: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario: {exc}") from exc
     return scenario_from_dict(doc)
 
 

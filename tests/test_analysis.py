@@ -93,9 +93,9 @@ def test_model_spectrum_tracks_measurement():
     sc = make_scenario([moving_target(60.0, (5.8, 7.29, 0.0))], ds=0.015,
                        platform_velocity=(0.0, 300.0, 0.0))
     params = ApertureParams.from_scenario(sc, sc.targets[0].velocity)
-    rep = spectrum(synthesize_baseband_direct(sc), params)
+    sig = spectrum(synthesize_baseband_direct(sc)).singular_values
     # leading singular value within a factor 2 of the closed form
-    assert 0.5 <= rep.model[0] / rep.singular_values[0] <= 2.0
+    assert 0.5 <= model_spectrum(params, sig.size)[0] / sig[0] <= 2.0
 
 
 def test_diagonal_limit_nuclear_norm():

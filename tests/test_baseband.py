@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sarlrs.baseband import LowpassFilter, from_baseband, to_baseband
+from sarlrs.baseband import from_baseband, to_baseband
 from sarlrs.errors import CarrierAliased
 from sarlrs.scenario import Pulse
 from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
@@ -82,9 +82,3 @@ def test_carrier_aliasing_rejected():
     pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
     with pytest.raises(CarrierAliased):
         to_baseband(np.ones((2, 16)), pulse, delta_t=1e-8)
-
-
-def test_passband_must_be_positive():
-    from sarlrs.errors import ConfigError
-    with pytest.raises(ConfigError):
-        LowpassFilter(passband_half_width=-1.0)

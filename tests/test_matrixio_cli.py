@@ -108,12 +108,36 @@ def test_cli_missing_config_is_config_error(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "x")]) == 1
     assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")]) == 1
+    assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "x")]) == 1
 
 
 def test_cli_malformed_json_is_config_error(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("where, update", [
+    ((), {"reference_point_m": ["a", 0, 0]}),
+    ((), {"reference_point_m": [0.0, 0.0]}),
+    (("targets", 0), {"position_m": [0.0, 0.0]}),
+    (("sampling",), {"gate_start_seconds": "a", "gate_end_seconds": "b"}),
+    (("platform",), {"pulse_count": 101.5}),
+    (("sampling",), {"delta_t_seconds": float("nan")}),
+], ids=["reference-not-numeric", "reference-2-vector", "target-2-vector", "gate-strings",
+        "pulse-count-fractional", "delta-t-nan"])
+def test_cli_malformed_scenario_is_config_error(tmp_path, capsys, where, update):
+    doc = json.loads(_scaled_config(tmp_path).read_text())
+    section = doc
+    for key in where:
+        section = section[key]
+    section.update(update)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_gate_too_narrow_exit_code(tmp_path):
@@ -201,7 +225,7 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
     assert len(calls) == 1  # D is synthesized once and reused for DB
     for name in ("D.sarm", "DB.sarm", "L.sarm", "S.sarm", "eta_report.json",
                  "spectra.csv", "metrics.json", "summary.json",
-                 "image_D.pgm", "image_L.pgm", "image_S.pgm"):
+                 "image_DB.pgm", "image_L.pgm", "image_S.pgm"):
         assert (out / name).exists(), name
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["capture"] >= 0.8
@@ -253,24 +277,50 @@ def test_cli_image_not_converged_writes_image_then_exits_3(tmp_path, monkeypatch
     assert (out / "image_S.pgm").exists() and (out / "image_S.json").exists()
 
 
-def test_cli_stages_are_prefixes_of_pipeline(tmp_path):
+def test_cli_stages_are_prefixes_of_pipeline(tmp_path, monkeypatch):
     cfg = _scaled_config(tmp_path)
-    runs = {stage: tmp_path / stage for stage in ("simulate", "baseband", "decompose", "pipeline")}
-    for stage, out in runs.items():
-        solve = ["--eta", "optimal"] if stage in ("decompose", "pipeline") else []
-        grid = ["--grid-extent", "20", "--grid-pixels", "11"] if stage == "pipeline" else []
-        assert main([stage, "--config", str(cfg), "--out", str(out), *solve, *grid]) == 0
+    mover = next(t for t in load_scenario(cfg).targets if not t.stationary)
+    velocity = ",".join(map(str, mover.velocity.tolist()))
+    solve = ["--eta", "optimal"]
+    grid = ["--grid-extent", "20", "--grid-pixels", "11"]
+    runs = {
+        "simulate": ["simulate"],
+        "baseband": ["baseband"],
+        "decompose": ["decompose", *solve],
+        "image-DB": ["image", "--source", "DB", *grid],
+        "image-S": ["image", "--source", "S", "--velocity", velocity, *solve, *grid],
+        "pipeline": ["pipeline", *solve, *grid],
+    }
+    calls = []
+    synthesize = sarlrs.simulate.synthesize_downramped
+    monkeypatch.setattr(sarlrs.simulate, "synthesize_downramped",
+                        lambda sc: calls.append(sc) or synthesize(sc))
+    outs = {run: tmp_path / run for run in runs}
+    for run, argv in runs.items():
+        calls.clear()
+        assert main([*argv, "--config", str(cfg), "--out", str(outs[run])]) == 0, run
+        assert len(calls) == 1, run  # D is synthesized once per run
     # each stage writes its own files and those of every stage before it
-    for name, writers in (("D.sarm", 4), ("scenario.json", 4), ("DB.sarm", 3)):
-        written = [(out / name).read_bytes() for out in runs.values() if (out / name).exists()]
+    for name, writers in (("D.sarm", 6), ("scenario.json", 6), ("DB.sarm", 5),
+                          ("image_DB.pgm", 2), ("image_DB.json", 2)):
+        written = [(out / name).read_bytes() for out in outs.values() if (out / name).exists()]
         assert len(written) == writers, name
         assert all(data == written[0] for data in written), name
-    for name in ("L.sarm", "S.sarm"):
-        a = read_matrix(runs["decompose"] / name)[0]
-        b = read_matrix(runs["pipeline"] / name)[0]
-        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), name  # threaded BLAS
-    summary = json.loads((runs["pipeline"] / "summary.json").read_text())
-    assert json.loads((runs["pipeline"] / "rpca_report.json").read_text()) == summary["rpca"]
+    for run in ("decompose", "image-S"):
+        for name in ("L.sarm", "S.sarm"):
+            a = read_matrix(outs[run] / name)[0]
+            b = read_matrix(outs["pipeline"] / name)[0]
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), (run, name)  # threaded BLAS
+    a, b = (json.loads((outs[run] / "image_S.json").read_text())
+            for run in ("image-S", "pipeline"))
+    assert a.pop("dynamic_range") == pytest.approx(b.pop("dynamic_range"), rel=1e-12)
+    peaks_a, peaks_b = a.pop("peaks"), b.pop("peaks")
+    assert a == b
+    assert [p["location"] for p in peaks_a] == [p["location"] for p in peaks_b]
+    for key in ("magnitude", "peak_to_background"):
+        assert [p[key] for p in peaks_a] == pytest.approx([p[key] for p in peaks_b], rel=1e-12)
+    summary = json.loads((outs["pipeline"] / "summary.json").read_text())
+    assert json.loads((outs["pipeline"] / "rpca_report.json").read_text()) == summary["rpca"]
 
 
 def test_cli_usage_errors_exit_1(tmp_path):
@@ -292,7 +342,7 @@ def test_cli_options_only_where_read(tmp_path):
     settable = sum(len(sub._actions) - 1  # every action but -h
                    for action in build_parser()._subparsers._group_actions
                    for sub in action.choices.values())
-    assert settable == 34
+    assert settable == 33
 
 
 def test_cli_analyze_reports(tmp_path, monkeypatch):
