@@ -110,20 +110,22 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
 
     Synthesizes a single-target baseband matrix per speed (the target at
     `position` moving along `direction`) and fits nuclear and Frobenius
-    norms against speed.
+    norms against speed.  Each speed's "l1" norm is returned with them, so
+    nuclear / l1 is its empirical eta_max.
     """
     speeds = np.asarray(speeds, dtype=float)
     if speeds.size < 4 or speeds.max() / speeds.min() < 10.0:
         raise InsufficientSweep("need >= 4 speeds spanning at least one decade")
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    nuclear = []
-    frobenius = []
+    nuclear, frobenius, l1 = [], [], []
     for v in np.sort(speeds):
         sc = scenario.with_targets([Target(position=position, velocity=v * direction)])
-        rep = spectrum(synthesize_baseband_direct(sc))
+        DB = synthesize_baseband_direct(sc)
+        rep = spectrum(DB)
         nuclear.append(rep.nuclear_norm)
         frobenius.append(rep.frobenius_norm)
+        l1.append(l1_norm(DB))
     logs = np.log(np.sort(speeds))
     beta = float(np.polyfit(logs, np.log(nuclear), 1)[0])
     fro_slope = float(np.polyfit(logs, np.log(frobenius), 1)[0])
@@ -131,6 +133,7 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
         "speeds": np.sort(speeds),
         "nuclear": np.array(nuclear),
         "frobenius": np.array(frobenius),
+        "l1": np.array(l1),
         "beta": beta,
         "frobenius_slope": fro_slope,
     }

@@ -35,8 +35,7 @@ def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) ->
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
     m = D.shape[1]
     t = t0 + np.arange(m) * delta_t
-    mixed = D * np.exp(1j * w0 * t)[None, :]
-    spec = np.fft.fft(mixed, axis=1)
+    spec = np.fft.fft(D * np.exp(1j * w0 * t)[None, :], axis=1)
     w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
     keep = np.abs(w) <= PASSBAND_OVER_B * pulse.bandwidth_parameter
     spec *= np.where(keep, PASSBAND_GAIN, 0.0)[None, :]

@@ -256,27 +256,31 @@ def cmd_analyze(args) -> int:
     def single(target):
         return sc.with_targets([target])
 
-    # one spectrum per synthesized matrix: eta_min is shared by every speed
+    def empirical(eta_min, eta_max):
+        return eta.EtaBounds(eta_min, eta_max, regime="empirical", column_support=np.nan)
+
+    # one spectrum per synthesized matrix: the exponent fit's sweep is the baseband half
     eta_min_bb = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(single(stat_template)))
     eta_min_orig = analysis.nuclear_to_l1(simulate.synthesize_downramped(single(stat_template)))
+    sweep = analysis.nuclear_velocity_exponent(sc, mover.position, SWEEP_SPEEDS, direction)
 
     rows = []
-    for v in SWEEP_SPEEDS:
+    for v, nuclear, frobenius, l1 in zip(sweep["speeds"], sweep["nuclear"],
+                                         sweep["frobenius"], sweep["l1"]):
         tgt = Target(position=mover.position, velocity=v * direction)
-        DB = simulate.synthesize_baseband_direct(single(tgt))
-        rep = analysis.spectrum(DB)
-        eta_max_bb = rep.nuclear_norm / analysis.l1_norm(DB)
-        eta_max_orig = analysis.nuclear_to_l1(simulate.synthesize_downramped(single(tgt)))
-        params = eta.ApertureParams.from_scenario(sc, v * direction)
+        bb = empirical(eta_min_bb, nuclear / l1)
+        orig = empirical(eta_min_orig,
+                         analysis.nuclear_to_l1(simulate.synthesize_downramped(single(tgt))))
+        params = eta.ApertureParams.from_scenario(sc, tgt.velocity)
         rows.append({
             "speed_mps": v,
-            "nuclear": rep.nuclear_norm,
-            "frobenius": rep.frobenius_norm,
-            "eta_max_empirical_baseband": eta_max_bb,
-            "eta_max_empirical_original": eta_max_orig,
-            "dynamic_range_baseband": np.sqrt(eta_max_bb / eta_min_bb),
-            "dynamic_range_original": np.sqrt(eta_max_orig / eta_min_orig),
-            "eta_star_empirical": np.sqrt(eta_min_bb * eta_max_bb),
+            "nuclear": nuclear,
+            "frobenius": frobenius,
+            "eta_max_empirical_baseband": bb.eta_max,
+            "eta_max_empirical_original": orig.eta_max,
+            "dynamic_range_baseband": bb.dynamic_range,
+            "dynamic_range_original": orig.dynamic_range,
+            "eta_star_empirical": bb.eta_star,
             "eta_star_analytic": eta.eta_bounds_baseband(params).eta_star,
         })
     _write_csv(out / "velocity_sweep.csv", rows)
@@ -291,13 +295,10 @@ def cmd_analyze(args) -> int:
                    for dx, dy in rng.uniform(-20, 20, size=(count, 2))]
         emin = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(sc.with_targets(targets)))
         stat_rows.append({"stationary_count": count, "eta_min_empirical": emin,
-                          "eta_star_empirical": float(np.sqrt(emin * emax))})
+                          "eta_star_empirical": empirical(emin, emax).eta_star})
     _write_csv(out / "stationary_count_sweep.csv", stat_rows)
 
-    report = analysis.nuclear_velocity_exponent(
-        sc, mover.position, np.geomspace(SWEEP_SPEEDS[0], SWEEP_SPEEDS[0] * 10, 5),
-        direction)
-    summary = {"beta": report["beta"], "frobenius_slope": report["frobenius_slope"]}
+    summary = {"beta": sweep["beta"], "frobenius_slope": sweep["frobenius_slope"]}
     _write_json(out / "analysis_summary.json", summary)
     return EXIT_OK
 

@@ -74,15 +74,11 @@ def migrate(data: np.ndarray, scenario: Scenario, grid: ImagingGrid,
     out_of_gate = 0
     for j, sj in enumerate(s):
         tau = differential_delay(scenario, advect(pix, v, sj), sj)
-        inside = (tau >= t[0]) & (tau <= t[-1])
-        out_of_gate += int(np.sum(~inside))
+        out_of_gate += int(np.count_nonzero((tau < t[0]) | (tau > t[-1])))
+        vals = np.interp(tau, t, data[j], left=0.0, right=0.0)
         if is_complex:
-            vals = (np.interp(tau, t, data[j].real)
-                    + 1j * np.interp(tau, t, data[j].imag))
-            vals = vals * np.exp(-1j * w0 * tau)
-        else:
-            vals = np.interp(tau, t, data[j])
-        acc += np.where(inside, vals, 0.0)
+            vals *= np.exp(-1j * w0 * tau)
+        acc += vals
     values = acc.reshape(grid.ny, grid.nx)
     return KmImage(values=values, grid=grid, source=source, out_of_gate=out_of_gate)
 

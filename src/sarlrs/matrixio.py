@@ -14,6 +14,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -47,27 +48,26 @@ def write_matrix(path, M: np.ndarray, metadata: dict | None = None) -> None:
 
 def read_matrix(path) -> tuple[np.ndarray, dict]:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ConfigError(f"{path}: truncated header")
-    magic, version, kind, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ConfigError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ConfigError(f"{path}: unsupported version {version}")
-    if kind == KIND_REAL:
-        dtype, size = np.dtype("<f8"), 8
-    elif kind == KIND_COMPLEX:
-        dtype, size = np.dtype("<c16"), 16
-    else:
-        raise ConfigError(f"{path}: unknown element kind {kind}")
-    count = rows * cols
-    start = _HEADER.size
-    end = start + count * size
-    if len(raw) < end:
-        raise ConfigError(f"{path}: payload shorter than {rows}x{cols}")
-    M = np.frombuffer(raw[start:end], dtype=dtype).reshape(rows, cols).copy()
-    trailer = raw[end:]
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ConfigError(f"{path}: truncated header")
+        magic, version, kind, rows, cols = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ConfigError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise ConfigError(f"{path}: unsupported version {version}")
+        if kind == KIND_REAL:
+            dtype = np.dtype("<f8")
+        elif kind == KIND_COMPLEX:
+            dtype = np.dtype("<c16")
+        else:
+            raise ConfigError(f"{path}: unknown element kind {kind}")
+        # check the declared size before np.fromfile allocates it
+        count = rows * cols
+        if os.fstat(fh.fileno()).st_size < _HEADER.size + count * dtype.itemsize:
+            raise ConfigError(f"{path}: payload shorter than {rows}x{cols}")
+        M = np.fromfile(fh, dtype=dtype, count=count).reshape(rows, cols)
+        trailer = fh.read()
     try:
         metadata = json.loads(trailer.decode()) if trailer else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

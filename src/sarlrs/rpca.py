@@ -47,13 +47,14 @@ class RpcaConfig:
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
             raise ConfigError("bad convergence settings")
-        if not isinstance(self.eta, str) and self.eta <= 0:
+        if isinstance(self.eta, str):
+            if self.eta != "conventional":
+                raise ConfigError(f"unknown eta mode '{self.eta}'")
+        elif self.eta <= 0:
             raise ConfigError("eta must be positive")
 
     def resolve_eta(self, shape) -> float:
         if isinstance(self.eta, str):
-            if self.eta != "conventional":
-                raise ConfigError(f"unknown eta mode '{self.eta}'")
             return conventional_eta(*shape)
         return float(self.eta)
 
@@ -212,10 +213,9 @@ def decompose_windowed(D: np.ndarray, windows: int,
     nnz = 0
     converged = True
     for a, b in zip(edges[:-1], edges[1:]):
-        try:
-            part = decompose(D[a:b], config)
-        except ConfigError:
+        if not np.any(D[a:b]):
             continue  # all-zero block separates trivially
+        part = decompose(D[a:b], config)
         L[a:b] = part.L
         S[a:b] = part.S
         iters = max(iters, part.iterations)

@@ -36,18 +36,20 @@ def test_complex_matrix_round_trip(tmp_path):
     assert meta == {}
 
 
-def test_bad_magic_rejected(tmp_path):
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b[:10],                                        # truncated header
+    lambda b: b"NOPE" + b[4:],                               # bad magic
+    lambda b: b[:4] + (2).to_bytes(2, "little") + b[6:],     # bad version
+    lambda b: b[:6] + (7).to_bytes(2, "little") + b[8:],     # unknown kind
+    lambda b: b[:40],                                        # short payload
+    lambda b: b + b"\xff{",                                  # bad trailer
+    lambda b: b[:8] + (2**20).to_bytes(8, "little") * 2 + b[24:],  # 2^40 elements
+], ids=["truncated-header", "bad-magic", "bad-version", "unknown-kind", "short-payload",
+        "bad-trailer", "oversized-header"])
+def test_malformed_matrix_rejected(tmp_path, corrupt):
     path = tmp_path / "m.sarm"
-    path.write_bytes(b"NOPE" + bytes(60))
-    with pytest.raises(ConfigError):
-        read_matrix(path)
-
-
-def test_truncated_payload_rejected(tmp_path):
-    M = np.ones((4, 4))
-    path = tmp_path / "m.sarm"
-    write_matrix(path, M)
-    path.write_bytes(path.read_bytes()[:40])
+    write_matrix(path, np.ones((4, 4)), {"tag": "test"})
+    path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ConfigError):
         read_matrix(path)
 
@@ -353,8 +355,9 @@ def test_cli_analyze_reports(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: spectra.append(1) or svd(*a, **k))
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
     # one spectrum per synthesized matrix: 2 stationary representatives, 2 per
-    # sweep speed, the mover, 10 stationary sets and 5 exponent-fit speeds
-    assert len(spectra) == 2 + 2 * len(SWEEP_SPEEDS) + 1 + 10 + 5 == 30
+    # sweep speed (the exponent fit's baseband matrix and the original one),
+    # the mover and 10 stationary sets
+    assert len(spectra) == 2 + 2 * len(SWEEP_SPEEDS) + 1 + 10 == 25
     with open(out / "velocity_sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     nuclear = [float(r["nuclear"]) for r in rows]

@@ -261,6 +261,21 @@ def test_windowed_per_row_blocks_satisfy_constraint():
     assert len(out.window_edges) == 13
 
 
+def test_windowed_skips_an_all_zero_block():
+    rng = np.random.default_rng(11)
+    D = rng.standard_normal((12, 30))
+    D[:6] = 0.0
+    out = decompose_windowed(D, 2, RpcaConfig())
+    assert not np.any(out.L[:6]) and not np.any(out.S[:6])
+    assert out.converged and out.rank > 0
+    assert np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D) <= 1e-6
+
+
+def test_unknown_eta_mode_rejected():
+    with pytest.raises(ConfigError):
+        RpcaConfig(eta="bogus")
+
+
 def test_windowed_bad_window_count():
     with pytest.raises(ConfigError):
         decompose_windowed(np.ones((4, 4)), 0)
