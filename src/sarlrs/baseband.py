@@ -4,6 +4,10 @@ Each row is mixed up by exp(1j w0 t), low-pass filtered in the FFT domain
 (brick wall, gain 2 in the passband), and transformed back.  The factor of
 2 restores unit peak magnitude after the negative-frequency image at -2*w0
 is rejected.  Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
+
+D_B is band-limited to the K kept DFT bins, so `resample` moves it exactly
+between the gate's m samples and any grid of >= K samples over the same
+span; K samples is the critically sampled grid.
 """
 
 from __future__ import annotations
@@ -36,10 +40,37 @@ def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) ->
     m = D.shape[1]
     t = t0 + np.arange(m) * delta_t
     spec = np.fft.fft(D * np.exp(1j * w0 * t)[None, :], axis=1)
-    w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
-    keep = np.abs(w) <= PASSBAND_OVER_B * pulse.bandwidth_parameter
-    spec *= np.where(keep, PASSBAND_GAIN, 0.0)[None, :]
+    gain = np.zeros(m)
+    gain[passband_bins(m, pulse, delta_t)] = PASSBAND_GAIN
+    spec *= gain[None, :]
     return np.fft.ifft(spec, axis=1)
+
+
+def passband_bins(m: int, pulse: Pulse, delta_t: float) -> np.ndarray:
+    """Signed DFT indices k (angular frequency 2 pi k / (m dt)) that `to_baseband` keeps.
+
+    The set is |w| <= PASSBAND_OVER_B * B, in FFT order (0, 1, ..., -1).
+    Negative k index an FFT axis of any length >= K from its end.
+    """
+    w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
+    idx = np.flatnonzero(np.abs(w) <= PASSBAND_OVER_B * pulse.bandwidth_parameter)
+    return np.where(idx < (m + 1) // 2, idx, idx - m)
+
+
+def resample(M: np.ndarray, bins: np.ndarray, length: int) -> np.ndarray:
+    """Rows band-limited to the DFT bins `bins`, resampled onto `length` samples.
+
+    Both grids span the same time, starting at the same instant: the
+    output is the rows' band-limited interpolant sampled at dt * m / length.
+    It is exact for length >= len(bins), in both directions, and linear
+    per row; from m to K = len(bins) samples it scales every singular value
+    by sqrt(K / m), and back by sqrt(m / K).
+    """
+    M = np.asarray(M)
+    spec = np.fft.fft(M, axis=1, norm="forward")
+    out = np.zeros((M.shape[0], length), dtype=spec.dtype)
+    out[:, bins] = spec[:, bins]
+    return np.fft.ifft(out, axis=1, norm="forward")
 
 
 def from_baseband(DB: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:

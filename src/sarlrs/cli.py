@@ -6,8 +6,13 @@ of `pipeline`.  `image` stops at the stage that makes its --source (D simulate,
 DB baseband, L and S decompose) and images that matrix.  `eta` and `analyze`
 take their own short paths.
 
+RPCA runs on DB's critically sampled grid: `baseband.resample` moves DB onto
+as many columns as `to_baseband` keeps DFT bins, and L and S back onto the
+gate's columns, so the written matrices keep DB's shape.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
-3 numerical failure (RPCA did not converge; raised after the outputs are written).
+3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
+outputs are written).
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -98,13 +106,25 @@ def _baseband_matrix(sc: Scenario, D: np.ndarray) -> np.ndarray:
     return baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
 
 
-def _decompose(DB: np.ndarray, args, eta_value: float, eta_mode: str):
-    """RPCA of DB and the report written to rpca_report.json and summary.json."""
-    config = rpca.RpcaConfig(eta="conventional" if eta_mode == "conventional" else eta_value)
-    dec = rpca.decompose_windowed(DB, args.windows, config)
+def _decompose(sc: Scenario, DB: np.ndarray, args, eta_value: float, eta_mode: str):
+    """RPCA of DB on its critically sampled grid, with L and S mapped back to DB's.
+
+    The map from the K kept bins' grid to DB's m columns scales singular
+    values by sqrt(m / K), and an l1 norm of a sparse trace by about m / K,
+    so the full-grid eta becomes eta * sqrt(m / K) on the short grid.  The
+    relative residual and the rank carry over exactly; nnz_S counts S on the
+    short grid (the mapped S is dense).  Returns the split and the report
+    written to rpca_report.json and summary.json.
+    """
+    m = DB.shape[1]
+    bins = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t)
+    config = rpca.RpcaConfig(eta=eta_value * math.sqrt(m / bins.size))
+    dec = rpca.decompose_windowed(baseband.resample(DB, bins, bins.size), args.windows, config)
+    dec = replace(dec, L=baseband.resample(dec.L, bins, m), S=baseband.resample(dec.S, bins, m))
     return dec, {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
-                 "iterations": dec.iterations, "residual": dec.residual, "rank_L": dec.rank,
-                 "nnz_S": dec.sparse_count, "converged": dec.converged}
+                 "solve_columns": bins.size, "iterations": dec.iterations,
+                 "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
+                 "converged": dec.converged}
 
 
 def _eta_bounds(sc: Scenario) -> dict:
@@ -183,19 +203,23 @@ def _run(args, last: str) -> int:
     eta_used = _rpca_settings(args, sc) if "decompose" in stages else None
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
+    ends = [("start", time.perf_counter())]  # (stage, when it ended)
     D = simulate.synthesize_downramped(sc)
     matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
     (out / "scenario.json").write_text(serialize_scenario(sc))
+    ends.append(("simulate", time.perf_counter()))
     matrices, dec = {"D": D}, None
     if "baseband" in stages:
         DB = matrices["DB"] = _baseband_matrix(sc, D)
         matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
+        ends.append(("baseband", time.perf_counter()))
     if "decompose" in stages:
-        dec, report = _decompose(DB, args, *eta_used)
+        dec, report = _decompose(sc, DB, args, *eta_used)
         matrices.update(L=dec.L, S=dec.S)
         matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
         matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
         _write_json(out / "rpca_report.json", report)
+        ends.append(("decompose", time.perf_counter()))
     for name, v in images.items():
         img = imaging.migrate(matrices[name], sc, grid, hypothesis_velocity=v, source=name)
         _write_image(out, f"image_{name}", img)
@@ -208,10 +232,15 @@ def _run(args, last: str) -> int:
             for k, s in enumerate(rpca.singular_values(M)[:64])])
         metrics = analysis.separation_metrics(dec, sc).as_dict()
         _write_json(out / "metrics.json", metrics)
+        ends.append(("tail", time.perf_counter()))
+        seconds = {stage: t - before for (_, before), (stage, t) in zip(ends, ends[1:])}
         _write_json(out / "summary.json", {"scenario_hash": scenario_hash(sc), "eta": used,
-                                           "rpca": report, "metrics": metrics})
+                                           "rpca": report, "metrics": metrics,
+                                           "seconds": seconds})
     if dec is not None and not dec.converged:
         raise NumericalError("RPCA did not converge within the iteration cap")
+    if dec is not None and dec.rank == 0:
+        raise NumericalError("RPCA returned rank-0 L: S holds all of DB")
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from sarlrs.baseband import from_baseband, to_baseband
+from sarlrs.baseband import from_baseband, passband_bins, resample, to_baseband
 from sarlrs.errors import CarrierAliased
-from sarlrs.scenario import Pulse
+from sarlrs.rpca import singular_values
+from sarlrs.scenario import Pulse, load_scenario
 from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
 
 from conftest import make_scenario, moving_target, stationary_target
@@ -82,3 +85,34 @@ def test_carrier_aliasing_rejected():
     pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
     with pytest.raises(CarrierAliased):
         to_baseband(np.ones((2, 16)), pulse, delta_t=1e-8)
+
+
+def _reference_to_baseband(D, pulse, delta_t, t0):
+    """The demodulation written out with its own passband mask, as a byte reference."""
+    m = D.shape[1]
+    t = t0 + np.arange(m) * delta_t
+    spec = np.fft.fft(D * np.exp(1j * pulse.carrier_angular_frequency * t)[None, :], axis=1)
+    w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
+    keep = np.abs(w) <= 6.0 * pulse.bandwidth_parameter
+    spec *= np.where(keep, 2.0, 0.0)[None, :]
+    return np.fft.ifft(spec, axis=1)
+
+
+@pytest.mark.parametrize("regime, kept", [("scaled", 135), ("gotcha", 945)])
+def test_critically_sampled_grid_is_exact(regime, kept):
+    with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
+        sc = load_scenario(p)
+    D = synthesize_downramped(sc)
+    dt, t0 = sc.sampling.delta_t, fast_times(sc)[0]
+    DB = to_baseband(D, sc.pulse, dt, t0=t0)
+    assert DB.tobytes() == _reference_to_baseband(D, sc.pulse, dt, t0).tobytes()
+    m = DB.shape[1]
+    bins = passband_bins(m, sc.pulse, dt)
+    assert bins.size == kept
+    short = resample(DB, bins, bins.size)
+    assert short.shape == (DB.shape[0], kept)
+    back = resample(short, bins, m)
+    assert np.linalg.norm(back - DB) <= 1e-13 * np.linalg.norm(DB)
+    # the map between the grids is a scaled isometry
+    full_sigma, short_sigma = singular_values(DB), singular_values(short)
+    assert np.max(np.abs(short_sigma - full_sigma * np.sqrt(kept / m))) <= 1e-12 * short_sigma[0]

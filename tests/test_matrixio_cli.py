@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -12,8 +13,10 @@ import sarlrs.rpca
 import sarlrs.simulate
 from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
 from sarlrs.errors import ConfigError
+from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
 from sarlrs.matrixio import read_matrix, write_matrix
-from sarlrs.scenario import load_scenario, scenario_to_dict, serialize_scenario
+from sarlrs.scenario import (SamplingGrid, load_scenario, scenario_to_dict,
+                             serialize_scenario)
 
 
 def test_real_matrix_round_trip(tmp_path):
@@ -186,6 +189,65 @@ def test_cli_decompose_and_image(tmp_path):
     assert sidecar["pixels"] == [11, 11]
 
 
+def _moving_reference(sc):
+    """Baseband model of the movers alone, on the full scene's gate."""
+    t0, t1 = sarlrs.simulate.fast_time_gate(sc)
+    pinned = replace(sc, sampling=SamplingGrid(sc.sampling.delta_t, t0, t1))
+    return sarlrs.simulate.synthesize_baseband_direct(pinned.moving_only())
+
+
+def test_cli_short_grid_split_matches_full_grid_solve(tmp_path):
+    cfg = _scaled_config(tmp_path)
+    sc = load_scenario(cfg)
+    out = tmp_path / "run"
+    assert main(["decompose", "--config", str(cfg), "--eta", "optimal",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "rpca_report.json").read_text())
+    mover = next(t for t in sc.targets if not t.stationary)
+    star = eta_bounds_baseband(ApertureParams.from_scenario(sc, mover.velocity)).eta_star
+    assert report["eta"] == pytest.approx(star, rel=1e-12)  # the full-grid value
+    assert report["solve_columns"] == 135
+    DB, L, S = (read_matrix(out / f"{name}.sarm")[0] for name in ("DB", "L", "S"))
+    full = sarlrs.rpca.decompose(DB, sarlrs.rpca.RpcaConfig(eta=star))
+    assert (report["iterations"], report["rank_L"]) == (full.iterations, full.rank)
+    assert np.linalg.norm(L - full.L) <= 1e-3 * np.linalg.norm(full.L)
+    M_ref = _moving_reference(sc)
+    error = lambda S: np.linalg.norm(S - M_ref) / np.linalg.norm(M_ref)
+    assert abs(error(S) - error(full.S)) <= 0.005
+
+
+def test_cli_conventional_eta_is_the_full_grid_value(tmp_path):
+    cfg = _scaled_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["decompose", "--config", str(cfg), "--eta", "conventional",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "rpca_report.json").read_text())
+    assert report["eta_mode"] == "conventional"
+    assert report["eta"] == conventional_eta(101, 2992)
+
+
+def test_cli_decompose_gotcha_end_to_end(tmp_path):
+    out = tmp_path / "run"
+    assert main(["decompose", "--regime", "gotcha", "--eta", "optimal",
+                 "--out", str(out)]) == 0
+    DB, L, S = (read_matrix(out / f"{name}.sarm")[0] for name in ("DB", "L", "S"))
+    for M in (L, S):
+        assert M.dtype == np.complex128 and M.shape == (237, 31674)
+    assert np.linalg.norm(DB - L - S) <= 1e-7 * np.linalg.norm(DB)
+    assert json.loads((out / "rpca_report.json").read_text())["rank_L"] >= 1
+
+
+def test_cli_rank_zero_split_writes_outputs_then_exits_3(tmp_path, capsys):
+    # eight 30-row blocks at the conventional eta put all of DB into S
+    out = tmp_path / "run"
+    assert main(["decompose", "--regime", "gotcha", "--windows", "8", "--eta", "conventional",
+                 "--out", str(out)]) == 3
+    assert "rank-0" in capsys.readouterr().err
+    report = json.loads((out / "rpca_report.json").read_text())
+    assert report["rank_L"] == 0
+    assert (out / "L.sarm").exists() and (out / "S.sarm").exists()
+
+
 def test_cli_bad_eta_value(tmp_path):
     cfg = _scaled_config(tmp_path)
     assert main(["decompose", "--config", str(cfg), "--eta", "bogus",
@@ -229,6 +291,9 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
                  "spectra.csv", "metrics.json", "summary.json",
                  "image_DB.pgm", "image_L.pgm", "image_S.pgm"):
         assert (out / name).exists(), name
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["seconds"]) == {"simulate", "baseband", "decompose", "tail"}
+    assert all(seconds >= 0 for seconds in summary["seconds"].values())
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["capture"] >= 0.8
     assert metrics["leakage"] <= 0.2
