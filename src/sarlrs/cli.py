@@ -8,7 +8,9 @@ take their own short paths.
 
 RPCA runs on DB's critically sampled grid: `baseband.resample` moves DB onto
 as many columns as `to_baseband` keeps DFT bins, and L and S back onto the
-gate's columns, so the written matrices keep DB's shape.
+gate's columns, so the written matrices keep DB's shape.  `pipeline` writes
+the DB, L and S rows of spectra.csv from the short-grid matrices the solve
+already holds.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
@@ -94,18 +96,6 @@ def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
     return value, "explicit"
 
 
-def _rpca_settings(args, sc: Scenario) -> tuple[float, str]:
-    """The eta value and mode, after checking --windows against the pulse count."""
-    if not 1 <= args.windows <= sc.platform.pulse_count:
-        raise ConfigError("--windows must be in [1, pulse count]")
-    return _resolve_eta(args.eta, sc)
-
-
-def _baseband_matrix(sc: Scenario, D: np.ndarray) -> np.ndarray:
-    t = simulate.fast_times(sc)
-    return baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
-
-
 def _decompose(sc: Scenario, DB: np.ndarray, args, eta_value: float, eta_mode: str):
     """RPCA of DB on its critically sampled grid, with L and S mapped back to DB's.
 
@@ -113,18 +103,23 @@ def _decompose(sc: Scenario, DB: np.ndarray, args, eta_value: float, eta_mode: s
     values by sqrt(m / K), and an l1 norm of a sparse trace by about m / K,
     so the full-grid eta becomes eta * sqrt(m / K) on the short grid.  The
     relative residual and the rank carry over exactly; nnz_S counts S on the
-    short grid (the mapped S is dense).  Returns the split and the report
-    written to rpca_report.json and summary.json.
+    short grid (the mapped S is dense).  Returns the split, the report
+    written to rpca_report.json and summary.json, and the short-grid DB, L
+    and S, whose singular values are DB's, L's and S's times sqrt(K / m).
     """
     m = DB.shape[1]
     bins = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t)
     config = rpca.RpcaConfig(eta=eta_value * math.sqrt(m / bins.size))
-    dec = rpca.decompose_windowed(baseband.resample(DB, bins, bins.size), args.windows, config)
+    DB_K = baseband.resample(DB, bins, bins.size)
+    dec = rpca.decompose_windowed(DB_K, args.windows, config)
+    short = {"DB": DB_K, "L": dec.L, "S": dec.S}
     dec = replace(dec, L=baseband.resample(dec.L, bins, m), S=baseband.resample(dec.S, bins, m))
-    return dec, {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
-                 "solve_columns": bins.size, "iterations": dec.iterations,
-                 "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
-                 "converged": dec.converged}
+    report = {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
+              "solve_columns": bins.size, "iterations": dec.iterations,
+              "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
+              "converged": dec.converged,
+              "degenerate": "rank-0 L: S holds all of DB" if dec.rank == 0 else None}
+    return dec, report, short
 
 
 def _eta_bounds(sc: Scenario) -> dict:
@@ -200,7 +195,9 @@ def _run(args, last: str) -> int:
     else:
         images = {}
     stages = STAGES[:STAGES.index(last) + 1]
-    eta_used = _rpca_settings(args, sc) if "decompose" in stages else None
+    if "decompose" in stages and not 1 <= args.windows <= sc.platform.pulse_count:
+        raise ConfigError("--windows must be in [1, pulse count]")
+    eta_used = _resolve_eta(args.eta, sc) if "decompose" in stages else None
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
     ends = [("start", time.perf_counter())]  # (stage, when it ended)
@@ -210,26 +207,36 @@ def _run(args, last: str) -> int:
     ends.append(("simulate", time.perf_counter()))
     matrices, dec = {"D": D}, None
     if "baseband" in stages:
-        DB = matrices["DB"] = _baseband_matrix(sc, D)
+        DB = matrices["DB"] = baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t,
+                                                   t0=simulate.fast_times(sc)[0])
         matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
         ends.append(("baseband", time.perf_counter()))
     if "decompose" in stages:
-        dec, report = _decompose(sc, DB, args, *eta_used)
+        dec, report, short = _decompose(sc, DB, args, *eta_used)
         matrices.update(L=dec.L, S=dec.S)
         matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
         matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
         _write_json(out / "rpca_report.json", report)
         ends.append(("decompose", time.perf_counter()))
+    if "pipeline" in stages:
+        # DB's, L's and S's spectra are those of the solve's short-grid matrices
+        # times sqrt(m / K).  They are taken before imaging so that the short-grid
+        # matrices can be dropped: held through `migrate`, they raised the scaled
+        # pipeline's peak RSS by about 2 MB.
+        scale = math.sqrt(DB.shape[1] / report["solve_columns"])
+        spectra = {"D": rpca.singular_values(D),
+                   **{name: scale * rpca.singular_values(M) for name, M in short.items()}}
+        del short
+        _write_csv(out / "spectra.csv", [
+            {"matrix": name, "k": k, "sigma": float(s)}
+            for name, sig in spectra.items()
+            for k, s in enumerate(sig[:64])])
     for name, v in images.items():
         img = imaging.migrate(matrices[name], sc, grid, hypothesis_velocity=v, source=name)
         _write_image(out, f"image_{name}", img)
     if "pipeline" in stages:
         used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
         _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc)})
-        _write_csv(out / "spectra.csv", [
-            {"matrix": name, "k": k, "sigma": float(s)}
-            for name, M in matrices.items()
-            for k, s in enumerate(rpca.singular_values(M)[:64])])
         metrics = analysis.separation_metrics(dec, sc).as_dict()
         _write_json(out / "metrics.json", metrics)
         ends.append(("tail", time.perf_counter()))
@@ -239,8 +246,8 @@ def _run(args, last: str) -> int:
                                            "seconds": seconds})
     if dec is not None and not dec.converged:
         raise NumericalError("RPCA did not converge within the iteration cap")
-    if dec is not None and dec.rank == 0:
-        raise NumericalError("RPCA returned rank-0 L: S holds all of DB")
+    if dec is not None and report["degenerate"]:
+        raise NumericalError(f"RPCA returned {report['degenerate']}")
     return EXIT_OK
 
 

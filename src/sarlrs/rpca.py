@@ -6,15 +6,16 @@ thresholding acts on the (real, nonnegative) spectrum.
 
 SAR matrices are very wide (a few hundred pulses by tens of thousands of
 fast-time samples), so singular value thresholding (SVT) and the spectral
-norm work on the Gram matrix A A^H of the short side A (M, or M^T when M is
-tall): one eigh of an n x n matrix, n = min(n1, n2), instead of a thin SVD
+norm work on the Gram matrix G = A A^H of the short side A (M, or M^T when M
+is tall): one eigh of an n x n matrix, n = min(n1, n2), instead of a thin SVD
 of M.  The Gram matrix squares the condition number, so its eigenvalues
 carry an absolute error of about eps * sigma_max^2 and singular values below
-~1e-8 sigma_max are noise.  So for thresholds below GRAM_MIN_TAU * sigma_max
-SVT takes the exact R-factor route: R from the QR of the tall view A^T has
-R^H R = A A^H, and the n x n SVD of R gives A's singular values and left
-singular vectors as accurately as an SVD of A.  `singular_values`, and so
-the rank that `decompose` reports, read the same R.
+~1e-8 sigma_max are noise.  So SVT picks its route from trace(G) = ||A||_F^2
+before it takes any spectrum: for thresholds below GRAM_MIN_TAU * ||A||_F it
+takes the exact R-factor route instead of eigh(G).  R from the QR of the tall
+view A^T has R^H R = A A^H, and the n x n SVD of R gives A's singular values
+and left singular vectors as accurately as an SVD of A.  `singular_values`,
+and so the rank that `decompose` reports, read the same R.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
 RHO = 1.4                    # penalty growth factor per iteration
 MU_CAP_FACTOR = 1e7          # mu_k capped at MU_CAP_FACTOR * mu_0
 NUMERIC_FLOOR = 1e-12        # entries of S below this (times max|D|) count as zero
-# SVT thresholds below GRAM_MIN_TAU * sigma_max take the exact R-factor route.
+# SVT thresholds below GRAM_MIN_TAU * ||A||_F take the exact R-factor route.
 # Measured against the SVD on every SVT input of the scaled scene's solve and
 # on a matrix with sigma from 1 to 1e-12, the Gram route's relative error
 # grows about as 1 / tau: at most 9e-12 for tau >= 1e-5 sigma_max, 10x inside
-# the 1e-10 the tests ask for, but 5e-11 at 1e-6.
+# the 1e-10 the tests ask for, but 5e-11 at 1e-6.  ||A||_F >= sigma_max, so
+# the Gram route only runs where that bound was measured.
 GRAM_MIN_TAU = 1e-5
 
 
@@ -96,10 +98,10 @@ def _short_side(M: np.ndarray) -> tuple[np.ndarray, bool]:
     return (M.T if tall else M), tall
 
 
-def _gram_spectrum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values (ascending) and left singular vectors of A via eigh(A A^H)."""
+def _gram_spectrum(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (ascending) and left singular vectors of A via eigh(G), G = A A^H."""
     try:
-        w, U = np.linalg.eigh(A @ A.conj().T)
+        w, U = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(str(exc)) from exc
     return np.sqrt(np.maximum(w, 0.0)), U
@@ -124,14 +126,17 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
 
     With A the short-side orientation of M, the kept part is
     U_k diag(1 - tau / sigma_k) U_k^H A.  U and sigma come from eigh of the
-    small Gram matrix A A^H, or, for thresholds below GRAM_MIN_TAU *
-    sigma_max, from the exact R factor (see GRAM_MIN_TAU).
+    small Gram matrix G = A A^H, or, for thresholds below GRAM_MIN_TAU *
+    ||A||_F (read off trace(G)), from the exact R factor (see GRAM_MIN_TAU).
+    Either way one spectrum is taken.
     """
     A, tall = _short_side(M)
-    sig, U = _gram_spectrum(A)
-    if tau < GRAM_MIN_TAU * sig[-1]:
+    G = A @ A.conj().T
+    if tau < GRAM_MIN_TAU * np.sqrt(np.trace(G).real):
         _, sig, Vh = _r_factor_svd(A)
         U = Vh.conj().T
+    else:
+        sig, U = _gram_spectrum(G)
     keep = sig > tau
     Uk = U[:, keep]
     out = (Uk * (1.0 - tau / sig[keep])) @ (Uk.conj().T @ A)
@@ -146,7 +151,7 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value, from the top eigenvalue of the short-side Gram matrix."""
     A, _ = _short_side(M)
-    return float(_gram_spectrum(A)[0][-1])
+    return float(_gram_spectrum(A @ A.conj().T)[0][-1])
 
 
 def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition:
@@ -208,7 +213,6 @@ def decompose_windowed(D: np.ndarray, windows: int,
     L = np.zeros_like(D)
     S = np.zeros_like(D)
     iters = 0
-    residual = 0.0
     rank = 0
     nnz = 0
     converged = True
@@ -219,10 +223,11 @@ def decompose_windowed(D: np.ndarray, windows: int,
         L[a:b] = part.L
         S[a:b] = part.S
         iters = max(iters, part.iterations)
-        residual = max(residual, part.residual)
         rank += part.rank
         nnz += part.sparse_count
         converged = converged and part.converged
+    norm_d = np.linalg.norm(D)  # 0 only when every block was skipped
+    residual = float(np.linalg.norm(D - L - S) / norm_d) if norm_d else 0.0
     return Decomposition(
         L=L, S=S, iterations=iters, residual=residual, rank=rank,
         sparse_count=nnz, converged=converged,

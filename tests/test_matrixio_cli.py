@@ -245,6 +245,7 @@ def test_cli_rank_zero_split_writes_outputs_then_exits_3(tmp_path, capsys):
     assert "rank-0" in capsys.readouterr().err
     report = json.loads((out / "rpca_report.json").read_text())
     assert report["rank_L"] == 0
+    assert report["degenerate"] == "rank-0 L: S holds all of DB"
     assert (out / "L.sarm").exists() and (out / "S.sarm").exists()
 
 
@@ -279,19 +280,25 @@ def test_cli_simulate_deterministic(tmp_path):
 def test_cli_pipeline_outputs(tmp_path, monkeypatch):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
-    calls = []
+    calls, qr_rows = [], []
     synthesize = sarlrs.simulate.synthesize_downramped
     monkeypatch.setattr(sarlrs.simulate, "synthesize_downramped",
                         lambda sc: calls.append(sc) or synthesize(sc))
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, **k: qr_rows.append(a.shape[0]) or qr(a, **k))
     assert main(["pipeline", "--config", str(cfg), "--eta", "optimal",
                  "--grid-extent", "20", "--grid-pixels", "11",
                  "--out", str(out)]) == 0
     assert len(calls) == 1  # D is synthesized once and reused for DB
+    # only D's spectrum is taken at the gate's 2992 columns; DB's, L's and
+    # S's are read off the short-grid matrices the solve holds
+    assert qr_rows.count(2992) == 1
     for name in ("D.sarm", "DB.sarm", "L.sarm", "S.sarm", "eta_report.json",
                  "spectra.csv", "metrics.json", "summary.json",
                  "image_DB.pgm", "image_L.pgm", "image_S.pgm"):
         assert (out / name).exists(), name
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["rpca"]["degenerate"] is None
     assert set(summary["seconds"]) == {"simulate", "baseband", "decompose", "tail"}
     assert all(seconds >= 0 for seconds in summary["seconds"].values())
     metrics = json.loads((out / "metrics.json").read_text())

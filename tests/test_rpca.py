@@ -87,15 +87,19 @@ def test_svt_matches_svd_reference(name, where, monkeypatch):
     tau = {"zero": 0.0,
            "between": 0.5 * (sig[2] + sig[3]),
            "guard": 1e-9 * sig[0]}[where]  # below GRAM_MIN_TAU * sigma_max
-    fallbacks = []
-    r_factor_svd = rpca._r_factor_svd
+    fallbacks, grams = [], []
+    r_factor_svd, gram_spectrum = rpca._r_factor_svd, rpca._gram_spectrum
     monkeypatch.setattr(rpca, "_r_factor_svd",
                         lambda A: fallbacks.append(A.shape) or r_factor_svd(A))
+    monkeypatch.setattr(rpca, "_gram_spectrum",
+                        lambda G: grams.append(G.shape) or gram_spectrum(G))
     ref = svd_threshold_reference(M, tau)
     out = singular_value_threshold(M, tau)
     assert out.shape == M.shape and out.dtype == M.dtype
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+    # one spectrum per call: the route is chosen before either is taken
     assert len(fallbacks) == (0 if where == "between" else 1)
+    assert len(grams) == (1 if where == "between" else 0)
 
 
 @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
@@ -257,8 +261,21 @@ def test_windowed_per_row_blocks_satisfy_constraint():
     rng = np.random.default_rng(10)
     D = rng.standard_normal((12, 30))
     out = decompose_windowed(D, 12, RpcaConfig())
-    assert np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D) <= 1e-6
+    residual = np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D)
+    assert residual <= 1e-6
+    assert out.residual == pytest.approx(residual, rel=1e-9, abs=0.0)
     assert len(out.window_edges) == 13
+
+
+def test_windowed_residual_is_the_whole_matrix_residual():
+    # unequal row norms and a capped solve: the largest per-block relative
+    # residual is not the whole matrix's
+    rng = np.random.default_rng(13)
+    D = rng.standard_normal((40, 90))
+    D[20:] *= 0.1
+    out = decompose_windowed(D, 2, RpcaConfig(max_iter=3))
+    residual = np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D)
+    assert out.residual == pytest.approx(residual, rel=1e-9, abs=0.0)
 
 
 def test_windowed_skips_an_all_zero_block():
@@ -269,6 +286,8 @@ def test_windowed_skips_an_all_zero_block():
     assert not np.any(out.L[:6]) and not np.any(out.S[:6])
     assert out.converged and out.rank > 0
     assert np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D) <= 1e-6
+    zero = decompose_windowed(np.zeros_like(D), 2, RpcaConfig())
+    assert zero.residual == 0.0 and zero.rank == 0
 
 
 def test_unknown_eta_mode_rejected():
