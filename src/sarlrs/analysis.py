@@ -165,13 +165,20 @@ class SeparationMetrics:
                 "residual": self.residual}
 
 
+def _support_mask(M, shape) -> np.ndarray:
+    """Entries of M above MASK_REL times its largest modulus (none for a zero M)."""
+    if not np.any(M):
+        return np.zeros(shape, bool)
+    mag = np.abs(M)
+    return mag > MASK_REL * np.max(mag)
+
+
 def separation_metrics_from_matrices(S, moving_reference, stationary_reference,
                                      residual: float = 0.0) -> SeparationMetrics:
     S = np.asarray(S)
     mov = np.asarray(moving_reference)
     stat = np.asarray(stationary_reference)
-    mov_mask = np.abs(mov) > MASK_REL * np.max(np.abs(mov)) if np.any(mov) else np.zeros(S.shape, bool)
-    stat_mask = np.abs(stat) > MASK_REL * np.max(np.abs(stat)) if np.any(stat) else np.zeros(S.shape, bool)
+    mov_mask, stat_mask = _support_mask(mov, S.shape), _support_mask(stat, S.shape)
     mov_energy = float(np.linalg.norm(mov) ** 2)
     s_norm = float(np.linalg.norm(S))
     capture = float(np.linalg.norm(S[mov_mask]) ** 2) / mov_energy if mov_energy > 0 else 0.0

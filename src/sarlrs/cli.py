@@ -118,7 +118,8 @@ def _decompose(sc: Scenario, DB: np.ndarray, args, eta_value: float, eta_mode: s
               "solve_columns": bins.size, "iterations": dec.iterations,
               "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
               "converged": dec.converged,
-              "degenerate": "rank-0 L: S holds all of DB" if dec.rank == 0 else None}
+              "degenerate": "rank-0 L: S holds all of DB" if dec.rank == 0 else None,
+              "trace": dec.trace}
     return dec, report, short
 
 

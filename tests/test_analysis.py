@@ -179,6 +179,33 @@ def test_nuclear_over_l1_scale_invariance():
     assert a.eta_min == pytest.approx(b.eta_min, rel=1e-12)
 
 
+def separation_metrics_reference(S, mov, stat):
+    """The metrics with each reference's modulus taken for the mask and again for its max."""
+    rel = sarlrs.analysis.MASK_REL
+    mov_mask = np.abs(mov) > rel * np.max(np.abs(mov)) if np.any(mov) else np.zeros(S.shape, bool)
+    stat_mask = np.abs(stat) > rel * np.max(np.abs(stat)) if np.any(stat) else np.zeros(S.shape, bool)
+    mov_energy = float(np.linalg.norm(mov) ** 2)
+    s_norm = float(np.linalg.norm(S))
+    return {"capture": float(np.linalg.norm(S[mov_mask]) ** 2) / mov_energy if mov_energy > 0 else 0.0,
+            "leakage": float(np.linalg.norm(S[stat_mask])) / s_norm if s_norm > 0 else 0.0,
+            "residual": 0.0}
+
+
+def test_separation_metrics_take_each_modulus_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    draw = lambda: rng.standard_normal((40, 300)) + 1j * rng.standard_normal((40, 300))
+    S, mov, stat = draw(), draw() * (rng.random((40, 300)) < 0.1), draw()
+    moduli = []
+    absolute = np.abs
+    monkeypatch.setattr(np, "abs", lambda a: moduli.append(np.shape(a)) or absolute(a))
+    got = [separation_metrics_from_matrices(S, mov, stat).as_dict(),
+           separation_metrics_from_matrices(S, np.zeros_like(mov), stat).as_dict()]
+    assert len(moduli) == 3  # one per nonzero reference
+    monkeypatch.setattr(np, "abs", absolute)
+    assert got == [separation_metrics_reference(S, mov, stat),
+                   separation_metrics_reference(S, np.zeros_like(mov), stat)]
+
+
 def test_separation_metrics_perfect_split():
     # targets far enough apart in range that their pulse strips resolve
     sc = make_scenario([stationary_target((-50.0, -4.0, 0.0)),

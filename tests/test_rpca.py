@@ -1,16 +1,66 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sarlrs import rpca
 from sarlrs.errors import ConfigError, SvdFailure
-from sarlrs.rpca import (Decomposition, RpcaConfig, decompose,
-                         decompose_windowed, singular_value_threshold,
+from sarlrs.rpca import (MU_CAP_FACTOR, RHO, Decomposition, RpcaConfig,
+                         decompose, decompose_windowed, singular_value_threshold,
                          singular_values, soft_threshold, spectral_norm)
 
 
 def svd_threshold_reference(M, tau):
     U, sig, Vh = np.linalg.svd(M, full_matrices=False)
     return (U * np.maximum(sig - tau, 0.0)) @ Vh
+
+
+def decompose_reference(D, config):
+    """The inexact ALM loop over whole arrays, one full-size pass per line."""
+    D = np.asarray(D)
+    eta = config.resolve_eta(D.shape)
+    norm2 = spectral_norm(D)
+    norm_f = np.linalg.norm(D)
+    d_max = np.max(np.abs(D))
+    mu = rpca.MU0_FACTOR / norm2
+    mu_cap = MU_CAP_FACTOR * mu
+    Y = D / max(norm2, d_max / eta)
+    S = np.zeros_like(D)
+    W = np.empty_like(Y)
+    T = np.empty_like(Y)
+    converged = False
+    for it in range(1, config.max_iter + 1):
+        np.divide(Y, mu, out=W)
+        W += D
+        L = singular_value_threshold(np.subtract(W, S, out=T), 1.0 / mu)
+        S = soft_threshold(np.subtract(W, L, out=T), eta / mu)
+        np.subtract(D, L, out=T)
+        T -= S
+        residual = np.linalg.norm(T) / norm_f
+        Y += np.multiply(T, mu, out=W)
+        if residual <= config.tol and it >= 2:
+            converged = True
+            break
+        mu = min(RHO * mu, mu_cap)
+    sig = singular_values(L)
+    rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
+    return Decomposition(
+        L=L, S=S, iterations=it, residual=float(residual), rank=rank,
+        sparse_count=int(np.sum(np.abs(S) > rpca.NUMERIC_FLOOR * d_max)),
+        converged=converged)
+
+
+def low_rank_plus_sparse(n1, n2, rank, complex_, density, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    D = draw(n1, rank) @ draw(rank, n2)
+    mask = rng.random((n1, n2)) < density
+    D[mask] += 10.0 * draw(int(mask.sum()))
+    return D
 
 
 def with_spectrum(sig, n1, n2, complex_=False, seed=0):
@@ -298,3 +348,78 @@ def test_unknown_eta_mode_rejected():
 def test_windowed_bad_window_count():
     with pytest.raises(ConfigError):
         decompose_windowed(np.ones((4, 4)), 0)
+
+
+_WIDE = low_rank_plus_sparse(30, 3001, 3, True, 0.05, seed=20)
+CHUNKED_INPUTS = {
+    "wide-complex": _WIDE,                     # 90030 entries: not a multiple of CHUNK
+    "real": low_rank_plus_sparse(40, 2500, 3, False, 0.05, seed=21),
+    "tall-complex": low_rank_plus_sparse(3001, 30, 3, True, 0.05, seed=22),
+    "column-slice": _WIDE[:, 1:-1],
+    "fortran": np.asfortranarray(_WIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_INPUTS))
+def test_chunked_pass_matches_whole_array_loop(name):
+    D = CHUNKED_INPUTS[name]
+    assert D.size > 10 * rpca.CHUNK
+    config = RpcaConfig(tol=1e-7)
+    ref = decompose_reference(D, config)
+    out = decompose(D, config)
+    # the same elementwise operations on every entry: only the residual's
+    # summation order differs
+    assert np.array_equal(out.L, ref.L)
+    assert np.array_equal(out.S, ref.S)
+    assert out.L.dtype == ref.L.dtype and out.S.dtype == ref.S.dtype
+    assert (out.iterations, out.rank, out.sparse_count, out.converged) == \
+        (ref.iterations, ref.rank, ref.sparse_count, ref.converged)
+    assert out.residual == pytest.approx(ref.residual, rel=1e-12, abs=0.0)
+
+
+def test_decompose_peak_memory():
+    # Y, S, the SVT input T, and SVT's output are the full-size arrays; a
+    # stored W = Y/mu + D or full-size shrinkage temporaries push this past 6
+    D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
+    tracemalloc.start()
+    try:
+        out = decompose(D, RpcaConfig(tol=1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.converged
+    assert peak <= 5.5 * D.nbytes
+
+
+def test_trace_has_one_entry_per_iteration():
+    D = low_rank_plus_sparse(20, 300, 2, True, 0.05, seed=24)
+    out = decompose(D, RpcaConfig(tol=1e-7))
+    assert out.converged and len(out.trace) == out.iterations
+    assert out.trace[-1]["residual"] == out.residual
+    assert out.trace[-1]["nnz"] == np.count_nonzero(out.S)
+    for entry in out.trace:
+        assert set(entry) == {"residual", "mu", "nnz", "svt_s", "pass_s"}
+        assert entry["svt_s"] >= 0 and entry["pass_s"] >= 0
+
+
+def test_trace_mu_grows_by_rho_until_the_cap():
+    D = low_rank_plus_sparse(20, 300, 2, True, 0.05, seed=24)
+    out = decompose(D, RpcaConfig(tol=1e-300, max_iter=60))
+    assert not out.converged and len(out.trace) == 60
+    mu = [entry["mu"] for entry in out.trace]
+    cap = MU_CAP_FACTOR * mu[0]
+    assert mu[1:] == [min(RHO * m, cap) for m in mu[:-1]]
+    assert mu[-1] == cap
+
+
+def test_windowed_trace_concatenates_blocks():
+    D = low_rank_plus_sparse(12, 400, 2, False, 0.05, seed=25)
+    D[4:8] = 0.0  # the skipped middle block adds no entries
+    out = decompose_windowed(D, 3, RpcaConfig())
+    parts = [decompose(D[a:b], RpcaConfig()) for a, b in ((0, 4), (8, 12))]
+    assert [e["window"] for e in out.trace] == \
+        [0] * parts[0].iterations + [2] * parts[1].iterations
+    strip = [{k: v for k, v in e.items() if k in ("residual", "mu", "nnz")}
+             for e in out.trace]
+    assert strip == [{k: e[k] for k in ("residual", "mu", "nnz")}
+                     for p in parts for e in p.trace]
