@@ -91,8 +91,7 @@ def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
         value = float(mode)
     except ValueError:
         raise ConfigError(f"--eta must be 'conventional', 'optimal', or a number, got '{mode}'")
-    if value <= 0:
-        raise ConfigError("--eta value must be positive")
+    rpca.RpcaConfig(eta=value)  # raises unless the value is finite and positive
     return value, "explicit"
 
 
@@ -274,21 +273,20 @@ def cmd_pipeline(args) -> int:
 
 def cmd_eta(args) -> int:
     sc = _load(args)
-    out = _outdir(args)
     report = _eta_bounds(sc)
-    _write_json(out / "eta_report.json", report)
+    _write_json(_outdir(args) / "eta_report.json", report)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     sc = _load(args)
-    out = _outdir(args)
     mover = _first_mover(sc)
     direction = mover.velocity / np.linalg.norm(mover.velocity)
     stat_template = next((t for t in sc.targets if t.stationary), None)
     if stat_template is None:
         raise ConfigError("scenario has no stationary target")
+    out = _outdir(args)
 
     def single(target):
         return sc.with_targets([target])

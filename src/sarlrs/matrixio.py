@@ -26,18 +26,16 @@ VERSION = 1
 KIND_REAL = 0
 KIND_COMPLEX = 1
 _HEADER = struct.Struct("<4sHHQQ")
+_DTYPES = {KIND_REAL: np.dtype("<f8"), KIND_COMPLEX: np.dtype("<c16")}
 
 
 def write_matrix(path, M: np.ndarray, metadata: dict | None = None) -> None:
     M = np.asarray(M)
     if M.ndim != 2:
         raise ConfigError("only 2-D matrices are supported")
-    if np.iscomplexobj(M):
-        kind = KIND_COMPLEX
-        payload = np.ascontiguousarray(M, dtype="<c16").tobytes()
-    else:
-        kind = KIND_REAL
-        payload = np.ascontiguousarray(M, dtype="<f8").tobytes()
+    kind = KIND_COMPLEX if np.iscomplexobj(M) else KIND_REAL
+    # written from the array's own buffer: no bytes copy of the payload
+    payload = np.ascontiguousarray(M, dtype=_DTYPES[kind])
     header = _HEADER.pack(MAGIC, VERSION, kind, M.shape[0], M.shape[1])
     trailer = json.dumps(metadata or {}, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -56,12 +54,9 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
             raise ConfigError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported version {version}")
-        if kind == KIND_REAL:
-            dtype = np.dtype("<f8")
-        elif kind == KIND_COMPLEX:
-            dtype = np.dtype("<c16")
-        else:
+        if kind not in _DTYPES:
             raise ConfigError(f"{path}: unknown element kind {kind}")
+        dtype = _DTYPES[kind]
         # check the declared size before np.fromfile allocates it
         count = rows * cols
         if os.fstat(fh.fileno()).st_size < _HEADER.size + count * dtype.itemsize:

@@ -32,6 +32,7 @@ and whole arrays twice as slow.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ from .eta import conventional_eta
 MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
 RHO = 1.4                    # penalty growth factor per iteration
 MU_CAP_FACTOR = 1e7          # mu_k capped at MU_CAP_FACTOR * mu_0
-NUMERIC_FLOOR = 1e-12        # entries of S below this (times max|D|) count as zero
 # SVT thresholds below GRAM_MIN_TAU * ||A||_F take the exact R-factor route.
 # Measured against the SVD on every SVT input of the scaled scene's solve and
 # on a matrix with sigma from 1 to 1e-12, the Gram route's relative error
@@ -61,13 +61,14 @@ class RpcaConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
+        # eta and tol must be finite and positive: the comparisons fail for nan
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
             raise ConfigError("bad convergence settings")
         if isinstance(self.eta, str):
             if self.eta != "conventional":
                 raise ConfigError(f"unknown eta mode '{self.eta}'")
-        elif self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        elif not 0 < self.eta < math.inf:
+            raise ConfigError("eta must be finite and positive")
 
     def resolve_eta(self, shape) -> float:
         if isinstance(self.eta, str):
@@ -82,7 +83,7 @@ class Decomposition:
     iterations: int
     residual: float          # final ||D - L - S||_F / ||D||_F
     rank: int
-    sparse_count: int        # entries of S above the numeric floor
+    sparse_count: int        # exact nonzeros of S: the last iteration's trace nnz
     converged: bool
     window_edges: list = field(default_factory=list)
     trace: list = field(default_factory=list)  # one dict per iteration
@@ -185,11 +186,11 @@ def _chunks(*arrays):
 
 def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition:
     D = np.ascontiguousarray(D)
-    if not np.any(D):
-        raise ConfigError("input matrix is zero")
+    norm_f = np.linalg.norm(D)  # nan or inf when any entry is
+    if not 0 < norm_f < math.inf:
+        raise ConfigError("input matrix is zero or has non-finite entries")
     eta = config.resolve_eta(D.shape)
     norm2 = spectral_norm(D)
-    norm_f = np.linalg.norm(D)
     d_max = np.max(np.abs(D))
     mu = MU0_FACTOR / norm2
     mu_cap = MU_CAP_FACTOR * mu
@@ -238,11 +239,9 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
 
     sig = singular_values(L)
     rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
-    floor = NUMERIC_FLOOR * d_max
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,
-        sparse_count=int(np.sum(np.abs(S) > floor)), converged=converged,
-        trace=trace,
+        sparse_count=int(nnz), converged=converged, trace=trace,
     )
 
 

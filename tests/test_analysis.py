@@ -8,9 +8,11 @@ import sarlrs
 from sarlrs.analysis import (NarrowbandViolated, analytic_l1,
                              empirical_eta_bounds, gaussian_decay_fit, l1_norm,
                              model_spectrum, nuclear_velocity_exponent,
-                             separation_metrics_from_matrices, spectrum)
+                             separation_metrics, separation_metrics_from_matrices,
+                             spectrum)
 from sarlrs.errors import InsufficientSweep
 from sarlrs.eta import ApertureParams
+from sarlrs.rpca import RpcaConfig, decompose
 from sarlrs.simulate import synthesize_baseband_direct, synthesize_downramped
 
 from conftest import make_scenario, moving_target, stationary_target
@@ -222,3 +224,21 @@ def test_separation_metrics_perfect_split():
     assert m.leakage <= 0.05
     z = separation_metrics_from_matrices(np.zeros_like(mov), mov, stat)
     assert z.capture == 0.0
+
+
+def test_separation_metrics_of_a_real_split_use_down_ramped_references(monkeypatch):
+    from dataclasses import replace
+    from sarlrs.scenario import SamplingGrid
+    from sarlrs.simulate import fast_time_gate
+    sc = make_scenario([stationary_target((-50.0, -4.0, 0.0)),
+                        moving_target(15.0, (80.0, 10.0, 0.0))])
+    dec = decompose(synthesize_downramped(sc), RpcaConfig())
+    pinned = replace(sc, sampling=SamplingGrid(sc.sampling.delta_t, *fast_time_gate(sc)))
+    expected = separation_metrics_from_matrices(
+        dec.S, synthesize_downramped(pinned.moving_only()),
+        synthesize_downramped(pinned.stationary_only()), residual=dec.residual)
+    monkeypatch.setattr(sarlrs.analysis, "synthesize_baseband_direct",
+                        lambda sc: pytest.fail("a real split took complex references"))
+    got = separation_metrics(dec, sc)
+    assert got == expected
+    assert got.capture >= 0.9 and got.leakage <= 0.05

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sarlrs.baseband import from_baseband, passband_bins, resample, to_baseband
-from sarlrs.errors import CarrierAliased
+from sarlrs.errors import CarrierAliased, ConfigError
 from sarlrs.rpca import singular_values
 from sarlrs.scenario import Pulse, load_scenario
 from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
@@ -85,6 +85,12 @@ def test_carrier_aliasing_rejected():
     pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
     with pytest.raises(CarrierAliased):
         to_baseband(np.ones((2, 16)), pulse, delta_t=1e-8)
+
+
+def test_fewer_than_eight_columns_rejected():
+    pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
+    with pytest.raises(ConfigError):
+        to_baseband(np.ones((2, 7)), pulse, delta_t=3.75e-10)
 
 
 def _reference_to_baseband(D, pulse, delta_t, t0):

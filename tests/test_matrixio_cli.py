@@ -1,7 +1,10 @@
 import csv
 import json
+import math
 import re
 import shlex
+import struct
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -37,6 +40,56 @@ def test_complex_matrix_round_trip(tmp_path):
     out, meta = read_matrix(path)
     assert np.array_equal(out, M)
     assert meta == {}
+
+
+def write_matrix_reference(path, M, metadata=None):
+    """The writer that copied each payload with tobytes() before writing it."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        kind, payload = 1, np.ascontiguousarray(M, dtype="<c16").tobytes()
+    else:
+        kind, payload = 0, np.ascontiguousarray(M, dtype="<f8").tobytes()
+    header = struct.pack("<4sHHQQ", b"SARM", 1, kind, M.shape[0], M.shape[1])
+    trailer = json.dumps(metadata or {}, sort_keys=True).encode()
+    Path(path).write_bytes(header + payload + trailer)
+
+
+_rng = np.random.default_rng(1)
+_COMPLEX = _rng.standard_normal((5, 7)) + 1j * _rng.standard_normal((5, 7))
+WRITE_INPUTS = {
+    "real": _rng.standard_normal((6, 4)),
+    "complex": _COMPLEX,
+    "float32": _rng.standard_normal((3, 9)).astype(np.float32),
+    "fortran": np.asfortranarray(_COMPLEX),
+    "empty": np.zeros((0, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_INPUTS))
+def test_write_matrix_matches_the_copying_writer(tmp_path, name):
+    M = WRITE_INPUTS[name]
+    write_matrix(tmp_path / "a.sarm", M, {"tag": name})
+    write_matrix_reference(tmp_path / "b.sarm", M, {"tag": name})
+    assert (tmp_path / "a.sarm").read_bytes() == (tmp_path / "b.sarm").read_bytes()
+
+
+def test_write_matrix_copies_no_payload(tmp_path):
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((2000, 500)) + 1j * rng.standard_normal((2000, 500))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.sarm", M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * M.nbytes
+    assert np.array_equal(read_matrix(tmp_path / "m.sarm")[0], M)
+
+
+def test_write_matrix_rejects_a_vector(tmp_path):
+    with pytest.raises(ConfigError):
+        write_matrix(tmp_path / "v.sarm", np.ones(5))
+    assert not (tmp_path / "v.sarm").exists()
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -249,10 +302,47 @@ def test_cli_rank_zero_split_writes_outputs_then_exits_3(tmp_path, capsys):
     assert (out / "L.sarm").exists() and (out / "S.sarm").exists()
 
 
-def test_cli_bad_eta_value(tmp_path):
+@pytest.mark.parametrize("eta", [["--eta", "bogus"], ["--eta", "nan"], ["--eta", "inf"],
+                                 ["--eta", "0"], ["--eta=-1"]],
+                         ids=["bogus", "nan", "inf", "0", "-1"])
+def test_cli_bad_eta_value(tmp_path, eta):
     cfg = _scaled_config(tmp_path)
-    assert main(["decompose", "--config", str(cfg), "--eta", "bogus",
-                 "--out", str(tmp_path / "x")]) == 1
+    out = tmp_path / "x"
+    assert main(["decompose", "--config", str(cfg), *eta, "--out", str(out)]) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_explicit_eta_is_scaled_onto_the_short_grid(tmp_path, monkeypatch):
+    cfg = _scaled_config(tmp_path)
+    out = tmp_path / "run"
+    etas = []
+    windowed = sarlrs.rpca.decompose_windowed
+    monkeypatch.setattr(sarlrs.rpca, "decompose_windowed",
+                        lambda D, w, config: etas.append(config.eta) or windowed(D, w, config))
+    # the README's example value: below the scene's eta_min (0.0082), so S
+    # takes all of DB and the run exits 3 after writing its report
+    assert main(["decompose", "--config", str(cfg), "--eta", "0.002", "--windows", "4",
+                 "--out", str(out)]) == 3
+    report = json.loads((out / "rpca_report.json").read_text())
+    assert (report["eta_mode"], report["eta"]) == ("explicit", 0.002)
+    assert report["rank_L"] == 0
+    assert etas == [0.002 * math.sqrt(2992 / 135)]
+
+
+@pytest.mark.parametrize("command, moving, message", [
+    ("eta", False, "no moving target"),
+    ("analyze", True, "no stationary target"),
+], ids=["eta-stationary-only", "analyze-mover-only"])
+def test_cli_unusable_scene_fails_before_any_output(tmp_path, capsys, command, moving,
+                                                    message):
+    doc = json.loads(_scaled_config(tmp_path).read_text())
+    doc["targets"] = [t for t in doc["targets"] if any(t["velocity_mps"]) == moving]
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

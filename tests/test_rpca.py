@@ -46,7 +46,7 @@ def decompose_reference(D, config):
     rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,
-        sparse_count=int(np.sum(np.abs(S) > rpca.NUMERIC_FLOOR * d_max)),
+        sparse_count=np.count_nonzero(S),
         converged=converged)
 
 
@@ -182,6 +182,20 @@ def test_r_factor_route_raises_svd_failure(monkeypatch):
         singular_values(M)
 
 
+def test_gram_route_raises_svd_failure(monkeypatch):
+    M = SVT_MATRICES["wide-complex"]
+    sig = np.linalg.svd(M, compute_uv=False)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(SvdFailure):
+        singular_value_threshold(M, 0.5 * (sig[2] + sig[3]))
+    with pytest.raises(SvdFailure):
+        spectral_norm(M)
+
+
 def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(2)
     M = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
@@ -297,6 +311,18 @@ def test_zero_matrix_rejected():
         decompose(np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)],
+                         ids=["nan", "inf", "-inf", "complex-inf"])
+def test_non_finite_matrix_rejected_before_any_spectrum(entry, monkeypatch):
+    D = low_rank_plus_sparse(10, 30, 2, True, 0.05, seed=26)
+    D[3, 4] = entry
+    spectra = []
+    monkeypatch.setattr(rpca, "spectral_norm", lambda M: spectra.append(M.shape))
+    with pytest.raises(ConfigError):
+        decompose(D)
+    assert spectra == []
+
+
 def test_windowed_single_window_equals_plain():
     rng = np.random.default_rng(9)
     D = np.outer(rng.standard_normal(20), rng.standard_normal(25))
@@ -343,6 +369,16 @@ def test_windowed_skips_an_all_zero_block():
 def test_unknown_eta_mode_rejected():
     with pytest.raises(ConfigError):
         RpcaConfig(eta="bogus")
+
+
+@pytest.mark.parametrize("setting", [
+    {"eta": np.nan}, {"eta": np.inf}, {"eta": 0.0}, {"eta": -1.0},
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"max_iter": 0},
+], ids=["eta-nan", "eta-inf", "eta-0", "eta-negative", "tol-nan", "tol-inf", "tol-0",
+        "max-iter-0"])
+def test_settings_must_be_finite_and_positive(setting):
+    with pytest.raises(ConfigError):
+        RpcaConfig(**setting)
 
 
 def test_windowed_bad_window_count():
@@ -396,7 +432,7 @@ def test_trace_has_one_entry_per_iteration():
     out = decompose(D, RpcaConfig(tol=1e-7))
     assert out.converged and len(out.trace) == out.iterations
     assert out.trace[-1]["residual"] == out.residual
-    assert out.trace[-1]["nnz"] == np.count_nonzero(out.S)
+    assert out.sparse_count == out.trace[-1]["nnz"] == np.count_nonzero(out.S)
     for entry in out.trace:
         assert set(entry) == {"residual", "mu", "nnz", "svt_s", "pass_s"}
         assert entry["svt_s"] >= 0 and entry["pass_s"] >= 0
@@ -423,3 +459,5 @@ def test_windowed_trace_concatenates_blocks():
              for e in out.trace]
     assert strip == [{k: e[k] for k in ("residual", "mu", "nnz")}
                      for p in parts for e in p.trace]
+    last_nnz = {e["window"]: e["nnz"] for e in out.trace}
+    assert out.sparse_count == sum(last_nnz.values()) == np.count_nonzero(out.S)
