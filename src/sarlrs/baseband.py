@@ -1,13 +1,20 @@
 """Complex-baseband conversion of the real down-ramped matrix.
 
-Each row is mixed up by exp(1j w0 t), low-pass filtered in the FFT domain
-(brick wall, gain 2 in the passband), and transformed back.  The factor of
-2 restores unit peak magnitude after the negative-frequency image at -2*w0
-is rejected.  Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
+Each row is zero-padded to the next 5-smooth length P >= m (P = 2^a 3^b 5^c:
+3000 for the scaled gate's 2992 columns, 32000 for gotcha's 31674) and
+real-FFT'd.  The bins within 6B of -w0 are kept with gain 2, the rest are
+zeroed, and the result is inverse-FFT'd at P, cropped to the gate's m
+columns and mixed up by exp(1j w0 t): a brick-wall low-pass of half-width
+6B around baseband.  The factor of 2 restores unit peak magnitude after the
+image at +w0 is rejected.  Reconstruction is Re{exp(-1j w0 t) D_B}; no data
+is lost.
 
-D_B is band-limited to the K kept DFT bins, so `resample` moves it exactly
-between the gate's m samples and any grid of >= K samples over the same
-span; K samples is the critically sampled grid.
+Because of the zero padding the brick wall is a linear filter over the
+gate, not a circular one at m.  So D_B lies in the K bins of the m-point
+DFT that `passband_bins` gives only up to about 1e-9 of its norm.
+`resample` moves that band exactly between the gate's m samples and any
+grid of >= K samples over the same span; K samples is the critically
+sampled grid.
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ PASSBAND_GAIN = 2.0
 def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
     """Per-row FFT demodulation of a real matrix to complex baseband.
 
+    One real FFT and one inverse FFT, both at the next 5-smooth length P >= m:
+    the gate's own length may have a large prime factor (31674 = 2 3 5279 on
+    gotcha), where an FFT costs several times more.  Bin k of the padded
+    spectrum, at angular frequency 2 pi k / (P dt), is kept when it lies
+    within PASSBAND_OVER_B * B of -w0.
     t0 is the fast time of the first column; the mixer phase must use the
     absolute fast-time axis for the reconstruction identity to hold.
     """
@@ -38,19 +50,40 @@ def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) ->
     if w0 * delta_t >= np.pi:
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
     m = D.shape[1]
+    P = _smooth_length(m)
+    half = np.fft.rfft(D, n=P, axis=1)
+    w = 2.0 * np.pi * np.fft.fftfreq(P, d=delta_t)
+    k = np.flatnonzero(np.abs(w + w0) <= PASSBAND_OVER_B * pulse.bandwidth_parameter)
+    # a real row's bin k > P/2 is the conjugate of its rfft bin P - k
+    src = np.minimum(k, P - k)
+    spec = np.zeros((D.shape[0], P), dtype=half.dtype)
+    spec[:, k] = PASSBAND_GAIN * np.where(k > P // 2, half[:, src].conj(), half[:, src])
+    del half
+    np.fft.ifft(spec, axis=1, out=spec)
     t = t0 + np.arange(m) * delta_t
-    spec = np.fft.fft(D * np.exp(1j * w0 * t)[None, :], axis=1)
-    gain = np.zeros(m)
-    gain[passband_bins(m, pulse, delta_t)] = PASSBAND_GAIN
-    spec *= gain[None, :]
-    return np.fft.ifft(spec, axis=1)
+    return spec[:, :m] * np.exp(1j * w0 * t)[None, :]
+
+
+def _smooth_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m: FFTs at such lengths avoid large prime factors."""
+    n = m
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
 
 
 def passband_bins(m: int, pulse: Pulse, delta_t: float) -> np.ndarray:
-    """Signed DFT indices k (angular frequency 2 pi k / (m dt)) that `to_baseband` keeps.
+    """Signed m-point DFT indices k (angular frequency 2 pi k / (m dt)) of D_B's band.
 
     The set is |w| <= PASSBAND_OVER_B * B, in FFT order (0, 1, ..., -1).
     Negative k index an FFT axis of any length >= K from its end.
+    `to_baseband` filters at a padded length, so its output holds about
+    1e-9 of its norm outside these bins.
     """
     w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
     idx = np.flatnonzero(np.abs(w) <= PASSBAND_OVER_B * pulse.bandwidth_parameter)

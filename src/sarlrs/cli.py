@@ -91,24 +91,39 @@ def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
         value = float(mode)
     except ValueError:
         raise ConfigError(f"--eta must be 'conventional', 'optimal', or a number, got '{mode}'")
-    rpca.RpcaConfig(eta=value)  # raises unless the value is finite and positive
-    return value, "explicit"
+    return value, "explicit"  # `_solve_config` checks it
 
 
-def _decompose(sc: Scenario, DB: np.ndarray, args, eta_value: float, eta_mode: str):
-    """RPCA of DB on its critically sampled grid, with L and S mapped back to DB's.
+def _solve_config(sc: Scenario, eta_value: float) -> tuple[np.ndarray, rpca.RpcaConfig]:
+    """The DFT bins that make DB's critically sampled grid, and the RPCA settings there.
 
     The map from the K kept bins' grid to DB's m columns scales singular
     values by sqrt(m / K), and an l1 norm of a sparse trace by about m / K,
-    so the full-grid eta becomes eta * sqrt(m / K) on the short grid.  The
-    relative residual and the rank carry over exactly; nnz_S counts S on the
-    short grid (the mapped S is dense).  Returns the split, the report
+    so the full-grid eta becomes eta * sqrt(m / K) on the short grid.  Both
+    m and K follow from the scene, so a value that overflows there is
+    rejected before any stage writes.
+    """
+    m = simulate.fast_times(sc).size  # DB's columns
+    bins = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t)
+    return bins, rpca.RpcaConfig(eta=eta_value * math.sqrt(m / bins.size))
+
+
+def _build() -> dict:
+    """The numpy and BLAS builds behind a solve's numbers."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def _decompose(DB: np.ndarray, args, bins: np.ndarray, config: rpca.RpcaConfig,
+               eta_value: float, eta_mode: str):
+    """RPCA of DB on its critically sampled grid, with L and S mapped back to DB's.
+
+    The relative residual and the rank carry over exactly; nnz_S counts S on
+    the short grid (the mapped S is dense).  Returns the split, the report
     written to rpca_report.json and summary.json, and the short-grid DB, L
     and S, whose singular values are DB's, L's and S's times sqrt(K / m).
     """
     m = DB.shape[1]
-    bins = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t)
-    config = rpca.RpcaConfig(eta=eta_value * math.sqrt(m / bins.size))
     DB_K = baseband.resample(DB, bins, bins.size)
     dec = rpca.decompose_windowed(DB_K, args.windows, config)
     short = {"DB": DB_K, "L": dec.L, "S": dec.S}
@@ -118,7 +133,7 @@ def _decompose(sc: Scenario, DB: np.ndarray, args, eta_value: float, eta_mode: s
               "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
               "converged": dec.converged,
               "degenerate": "rank-0 L: S holds all of DB" if dec.rank == 0 else None,
-              "trace": dec.trace}
+              "build": _build(), "trace": dec.trace}
     return dec, report, short
 
 
@@ -197,7 +212,9 @@ def _run(args, last: str) -> int:
     stages = STAGES[:STAGES.index(last) + 1]
     if "decompose" in stages and not 1 <= args.windows <= sc.platform.pulse_count:
         raise ConfigError("--windows must be in [1, pulse count]")
-    eta_used = _resolve_eta(args.eta, sc) if "decompose" in stages else None
+    if "decompose" in stages:
+        eta_used = _resolve_eta(args.eta, sc)
+        solve = _solve_config(sc, eta_used[0])
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
     ends = [("start", time.perf_counter())]  # (stage, when it ended)
@@ -212,7 +229,7 @@ def _run(args, last: str) -> int:
         matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
         ends.append(("baseband", time.perf_counter()))
     if "decompose" in stages:
-        dec, report, short = _decompose(sc, DB, args, *eta_used)
+        dec, report, short = _decompose(DB, args, *solve, *eta_used)
         matrices.update(L=dec.L, S=dec.S)
         matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
         matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from sarlrs.baseband import from_baseband, passband_bins, resample, to_baseband
 from sarlrs.errors import CarrierAliased, ConfigError
 from sarlrs.rpca import singular_values
-from sarlrs.scenario import Pulse, load_scenario
-from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
+from sarlrs.scenario import Pulse, SamplingGrid, load_scenario
+from sarlrs.simulate import (fast_time_gate, fast_times, synthesize_baseband_direct,
+                             synthesize_downramped)
 
 from conftest import make_scenario, moving_target, stationary_target
 
@@ -94,7 +96,7 @@ def test_fewer_than_eight_columns_rejected():
 
 
 def _reference_to_baseband(D, pulse, delta_t, t0):
-    """The demodulation written out with its own passband mask, as a byte reference."""
+    """The demodulation as a circular filter at the gate's own length, with its own mask."""
     m = D.shape[1]
     t = t0 + np.arange(m) * delta_t
     spec = np.fft.fft(D * np.exp(1j * pulse.carrier_angular_frequency * t)[None, :], axis=1)
@@ -111,14 +113,56 @@ def test_critically_sampled_grid_is_exact(regime, kept):
     D = synthesize_downramped(sc)
     dt, t0 = sc.sampling.delta_t, fast_times(sc)[0]
     DB = to_baseband(D, sc.pulse, dt, t0=t0)
-    assert DB.tobytes() == _reference_to_baseband(D, sc.pulse, dt, t0).tobytes()
+    # the padded (linear) filter against the circular one at the gate's length
+    ref = _reference_to_baseband(D, sc.pulse, dt, t0)
+    assert np.max(np.abs(DB - ref)) <= 2e-9 * np.max(np.abs(ref))
     m = DB.shape[1]
     bins = passband_bins(m, sc.pulse, dt)
     assert bins.size == kept
     short = resample(DB, bins, bins.size)
     assert short.shape == (DB.shape[0], kept)
-    back = resample(short, bins, m)
-    assert np.linalg.norm(back - DB) <= 1e-13 * np.linalg.norm(DB)
+    band = resample(DB, bins, m)
+    # the map between the grids is exact on the band, which holds nearly all of DB
+    assert np.linalg.norm(resample(short, bins, m) - band) <= 1e-13 * np.linalg.norm(DB)
+    assert np.linalg.norm(DB - band) <= 3e-9 * np.linalg.norm(DB)
     # the map between the grids is a scaled isometry
     full_sigma, short_sigma = singular_values(DB), singular_values(short)
     assert np.max(np.abs(short_sigma - full_sigma * np.sqrt(kept / m))) <= 1e-12 * short_sigma[0]
+
+
+def _shipped(regime):
+    with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
+        return load_scenario(p)
+
+
+def test_no_fft_at_an_unsmooth_length(monkeypatch):
+    sc = _shipped("scaled")
+    D = synthesize_downramped(sc)
+    assert D.shape[1] == 2992  # 2^4 * 11 * 17
+    lengths = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def recorded(a, n=None, axis=-1, *args, transform=transform, **kwargs):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return transform(a, n, axis, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recorded)
+    _transform(sc, D)
+    assert lengths
+    for n in lengths:
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        assert n == 1, lengths
+
+
+@pytest.mark.parametrize("regime", ["scaled", "gotcha"])
+def test_shipped_scenes_match_the_direct_baseband_model(regime):
+    sc = _shipped(regime)
+    DB = _transform(sc, synthesize_downramped(sc))
+    # the direct model on the same gate as DB
+    t0, t1 = fast_time_gate(sc)
+    pinned = replace(sc, sampling=SamplingGrid(delta_t=sc.sampling.delta_t,
+                                               gate_start=t0, gate_end=t1))
+    direct = synthesize_baseband_direct(pinned)
+    assert np.max(np.abs(DB - direct)) <= 3e-9 * np.max(np.abs(direct))

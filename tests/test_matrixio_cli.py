@@ -303,9 +303,10 @@ def test_cli_rank_zero_split_writes_outputs_then_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("eta", [["--eta", "bogus"], ["--eta", "nan"], ["--eta", "inf"],
-                                 ["--eta", "0"], ["--eta=-1"]],
-                         ids=["bogus", "nan", "inf", "0", "-1"])
+                                 ["--eta", "0"], ["--eta=-1"], ["--eta", "1e308"]],
+                         ids=["bogus", "nan", "inf", "0", "-1", "1e308"])
 def test_cli_bad_eta_value(tmp_path, eta):
+    # 1e308 is finite, but its short-grid value 1e308 * sqrt(2992 / 135) is not
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "x"
     assert main(["decompose", "--config", str(cfg), *eta, "--out", str(out)]) == 1
@@ -319,7 +320,7 @@ def test_cli_explicit_eta_is_scaled_onto_the_short_grid(tmp_path, monkeypatch):
     windowed = sarlrs.rpca.decompose_windowed
     monkeypatch.setattr(sarlrs.rpca, "decompose_windowed",
                         lambda D, w, config: etas.append(config.eta) or windowed(D, w, config))
-    # the README's example value: below the scene's eta_min (0.0082), so S
+    # 0.002 lies below the scene's eta_min (0.0082), so S
     # takes all of DB and the run exits 3 after writing its report
     assert main(["decompose", "--config", str(cfg), "--eta", "0.002", "--windows", "4",
                  "--out", str(out)]) == 3
@@ -389,6 +390,8 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
         assert (out / name).exists(), name
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rpca"]["degenerate"] is None
+    build = summary["rpca"]["build"]
+    assert set(build) == {"numpy", "blas"} and build["numpy"] == np.__version__
     trace = summary["rpca"]["trace"]
     assert len(trace) == summary["rpca"]["iterations"]
     assert set(trace[0]) == {"residual", "mu", "nnz", "svt_s", "pass_s", "window"}
