@@ -17,17 +17,30 @@ view A^T has R^H R = A A^H, and the n x n SVD of R gives A's singular values
 and left singular vectors as accurately as an SVD of A.  `singular_values`,
 and so the rank that `decompose` reports, read the same R.
 
+`_gram` forms G with no conjugated copy of A.  A complex A = X + iY is
+copied into the real B = [X; Y], whose one syrk H = B B^T takes half the
+multiplies of the complex product A @ A.conj().T, and
+G = (H11 + H22) + i (H21 - H12) comes out exactly Hermitian.  On the seed-0
+237 x 31674 gotcha matrix it agrees with A @ A.conj().T to 1.4e-15 of its
+largest entry, and the tol-1e-2 solve of that matrix keeps its 11
+iterations, rank 47, 278296 nonzeros and S support, with L and S within
+about 1e-14 of their peaks of the values from A @ A.conj().T.
+
 After each SVT step, everything else an iteration does is elementwise, and
 `decompose` does it in one pass over CHUNK-entry slices of the flat,
 C-contiguous work arrays: W = Y/mu + D, S = soft_threshold(W - L, eta/mu),
 R = D - L - S with its squared norm summed, Y += mu R, and the next SVT
 input (Y/mu' + D) - S.  D, Y, S, the SVT input and L are the full-size
-arrays; W and R exist only a slice at a time.  Each entry goes through the
-same numpy operations as in a loop over whole arrays, so L and S are the
-same bytes; only the residual's summation order differs.  CHUNK was set by
-timing the pass on a 237 x 31674 complex matrix (2 vCPU, medians of five):
-8192 entries was fastest, 4096 3 % slower, 16384 to 65536 12-27 % slower,
-and whole arrays twice as slow.
+arrays; W and R exist only a slice at a time, and the last L is freed
+before SVT allocates the next.  A complex Y is multiplied by 1/mu
+(`_divide`): numpy divides complex by real as (a + 0 b) * (1/mu), so the
+values are those of the division and only the sign of a zero can differ.
+Each entry otherwise goes through the same numpy operations as in a loop
+over whole arrays that divides, so L and S are equal to that loop's under
+np.array_equal (the same bytes for real D); only the residual's summation
+order differs.  CHUNK was set by timing the pass on a 237 x 31674 complex
+matrix (2 vCPU, medians of five): 8192 entries was fastest, 4096 3 %
+slower, 16384 to 65536 12-27 % slower, and whole arrays twice as slow.
 """
 
 from __future__ import annotations
@@ -115,6 +128,29 @@ def _short_side(M: np.ndarray) -> tuple[np.ndarray, bool]:
     return (M.T if tall else M), tall
 
 
+def _gram(A: np.ndarray) -> np.ndarray:
+    """G = A A^H, exactly Hermitian, with no conjugated copy of A.
+
+    A real A gives A A^T, one syrk.  A complex A = X + iY is copied into the
+    real B = [X; Y] (2n x m, the bytes of A), and the one syrk H = B B^T,
+    half the multiplies of a complex GEMM, gives
+    G = (H11 + H22) + i (H21 - H12).  syrk fills H symmetric, so H12 = H21^T
+    and G's diagonal is real.  B keeps A's memory order, so the transposed
+    view of a tall C-ordered matrix is copied column by column.
+    """
+    if not np.iscomplexobj(A):
+        return A @ A.T
+    n = A.shape[0]
+    B = np.empty((2 * n, A.shape[1]), order="F" if A.flags.f_contiguous else "C")
+    B[:n] = A.real
+    B[n:] = A.imag
+    H = B @ B.T
+    G = np.empty((n, n), A.dtype)
+    np.add(H[:n, :n], H[n:, n:], out=G.real)
+    np.subtract(H[n:, :n], H[:n, n:], out=G.imag)
+    return G
+
+
 def _gram_spectrum(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (ascending) and left singular vectors of A via eigh(G), G = A A^H."""
     try:
@@ -148,7 +184,7 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     Either way one spectrum is taken.
     """
     A, tall = _short_side(M)
-    G = A @ A.conj().T
+    G = _gram(A)
     if tau < GRAM_MIN_TAU * np.sqrt(np.trace(G).real):
         _, sig, Vh = _r_factor_svd(A)
         U = Vh.conj().T
@@ -168,7 +204,19 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value, from the top eigenvalue of the short-side Gram matrix."""
     A, _ = _short_side(M)
-    return float(_gram_spectrum(A @ A.conj().T)[0][-1])
+    return float(_gram_spectrum(_gram(A))[0][-1])
+
+
+def _divide(a, mu: float, out=None):
+    """a / mu for a real scalar mu.
+
+    numpy divides complex by real as (a + 0 b) * (1 / mu), so a complex a is
+    multiplied by 1 / mu instead: the same values up to the sign of a zero,
+    without the complex division.  Real a is divided as before.
+    """
+    if np.iscomplexobj(a):
+        return np.multiply(a, 1.0 / mu, out=out)
+    return np.divide(a, mu, out=out)
 
 
 def _chunks(*arrays):
@@ -198,7 +246,7 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
     # dual ascent seed: Y_0 = D / max(||D||_2, ||D||_inf / eta)
     Y = D / max(norm2, d_max / eta)
     S = np.zeros_like(Y)
-    T = np.divide(Y, mu)         # SVT input (Y/mu + D) - S; S_0 = 0
+    T = _divide(Y, mu)           # SVT input (Y/mu + D) - S; S_0 = 0
     T += D
     w = np.empty(CHUNK, Y.dtype)  # W = Y/mu + D, then mu R, then the next W
     r = np.empty(CHUNK, Y.dtype)  # W - L, then R = D - L - S
@@ -208,6 +256,7 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
     it = 0
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
+        L = None                     # free the last L before SVT allocates the next
         L = singular_value_threshold(T, 1.0 / mu)
         svt_end = time.perf_counter()
         mu_next = min(RHO * mu, mu_cap)
@@ -216,7 +265,7 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
         for d, y, l, s, t in _chunks(D, Y, np.ascontiguousarray(L), S, T):
             n = d.size
             wc, rc = w[:n], r[:n]
-            np.divide(y, mu, out=wc)                       # W = Y/mu + D
+            _divide(y, mu, out=wc)                         # W = Y/mu + D
             wc += d
             soft_threshold(np.subtract(wc, l, out=rc), eta / mu, out=s)
             nnz += np.count_nonzero(s)
@@ -224,9 +273,10 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
             rc -= s
             sq_norm += np.vdot(rc, rc).real
             y += np.multiply(rc, mu, out=wc)
-            np.divide(y, mu_next, out=wc)                  # T = (Y/mu' + D) - S
+            _divide(y, mu_next, out=wc)                    # T = (Y/mu' + D) - S
             wc += d
             np.subtract(wc, s, out=t)
+        del d, y, l, s, t            # slice views would keep L, Y and T alive
         residual = np.sqrt(sq_norm) / norm_f
         trace.append({"residual": float(residual), "mu": mu, "nnz": int(nnz),
                       "svt_s": svt_end - start, "pass_s": time.perf_counter() - svt_end})
@@ -237,6 +287,7 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
             break
         mu = mu_next
 
+    del Y, T                         # the QR in singular_values copies L twice
     sig = singular_values(L)
     rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
     return Decomposition(
