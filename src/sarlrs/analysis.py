@@ -78,7 +78,7 @@ def model_spectrum(params: ApertureParams, count: int) -> np.ndarray:
 def spectrum(M) -> SpectrumReport:
     """Singular values of M with the norms they give; raises SvdFailure."""
     sig = singular_values(np.asarray(M))
-    n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig[0])) if sig[0] > 0 else 0
+    n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig[0]))
     return SpectrumReport(
         singular_values=sig,
         nuclear_norm=float(sig.sum()),

@@ -90,18 +90,24 @@ def analytic_column_support(params: ApertureParams) -> float:
 
 
 def _spectrum_normalization(N: float, b_dt: float) -> float:
-    """Sum over the model spectrum exp(-pi^2 k^2 / (N B dt)^2).
+    """Sum of the model spectrum exp(-pi^2 k^2 / (N B dt)^2) over k = 0..N-1.
 
-    Large N*B*dt: Gaussian-sum closed form N*B*dt/(2 sqrt(pi)) + 1/2;
-    otherwise the explicit finite sum (the closed form degrades).
+    One explicit sum for every N B dt; for large N B dt it tends to the
+    half-Gaussian sum N B dt / (2 sqrt(pi)) + 1/2 continuously.
     """
-    if N * b_dt >= math.sqrt(math.pi):
-        return N * b_dt / (2.0 * math.sqrt(math.pi)) + 0.5
-    k = np.arange(int(max(N, 1.0)))
+    k = np.arange(int(N))
     return float(np.sum(np.exp(-np.pi**2 * k**2 / (N * b_dt) ** 2)))
 
 
 def eta_bounds_baseband(params: ApertureParams) -> EtaBounds:
+    """Analytic baseband band: eta_min of a stationary point, eta_max of a mover.
+
+    eta_max falls short of the nuclear/l1 ratio measured on the synthesized
+    mover alone: 0.59x on the shipped `scaled` scene (0.01375 against
+    0.02337) and 0.63x on `gotcha` (0.0404 against 0.0640).  By contrast,
+    analysis.model_spectrum summed over pulse_count terms and divided by
+    analysis.analytic_l1 lands within 2.3% of the measurement on both.
+    """
     b_dt = params.bandwidth_parameter * params.delta_t
     N = analytic_column_support(params)
     eta_min = math.sqrt(params.delta_s * b_dt /

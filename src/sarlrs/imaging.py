@@ -90,8 +90,6 @@ def peak_report(image: KmImage) -> list[dict]:
     """
     mag = image.magnitude()
     peak_floor = 0.5 * float(mag.max())
-    if peak_floor <= 0:
-        return []
     background = float(np.median(mag))
     xs, ys = image.grid.xs(), image.grid.ys()
     ny, nx = mag.shape

@@ -22,9 +22,7 @@ copied into the real B = [X; Y], whose one syrk H = B B^T takes half the
 multiplies of the complex product A @ A.conj().T, and
 G = (H11 + H22) + i (H21 - H12) comes out exactly Hermitian.  On the seed-0
 237 x 31674 gotcha matrix it agrees with A @ A.conj().T to 1.4e-15 of its
-largest entry, and the tol-1e-2 solve of that matrix keeps its 11
-iterations, rank 47, 278296 nonzeros and S support, with L and S within
-about 1e-14 of their peaks of the values from A @ A.conj().T.
+largest entry.
 
 After each SVT step, everything else an iteration does is elementwise, and
 `decompose` does it in one pass over CHUNK-entry slices of the flat,
@@ -98,7 +96,6 @@ class Decomposition:
     rank: int
     sparse_count: int        # exact nonzeros of S: the last iteration's trace nnz
     converged: bool
-    window_edges: list = field(default_factory=list)
     trace: list = field(default_factory=list)  # one dict per iteration
 
 
@@ -289,7 +286,7 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
 
     del Y, T                         # the QR in singular_values copies L twice
     sig = singular_values(L)
-    rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
+    rank = int(np.sum(sig > sig[0] * 1e-9))
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,
         sparse_count=int(nnz), converged=converged, trace=trace,
@@ -329,6 +326,5 @@ def decompose_windowed(D: np.ndarray, windows: int,
     residual = float(np.linalg.norm(D - L - S) / norm_d) if norm_d else 0.0
     return Decomposition(
         L=L, S=S, iterations=iters, residual=residual, rank=rank,
-        sparse_count=nnz, converged=converged,
-        window_edges=list(edges), trace=trace,
+        sparse_count=nnz, converged=converged, trace=trace,
     )

@@ -102,8 +102,6 @@ def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
     t = fast_times(scenario)
     cols = t.size
     M = np.zeros((scenario.platform.pulse_count, cols), dtype=dtype)
-    if not scenario.targets:
-        return M
     delays = _all_delays(scenario)
     _check_gate(scenario, delays, t)
     w0 = scenario.pulse.carrier_angular_frequency

@@ -40,6 +40,12 @@ def test_analytic_l1_ratio_is_pi_over_two():
     assert ratio == pytest.approx(math.pi / 2, rel=1e-14)
 
 
+def test_analytic_l1_rejects_unknown_regime():
+    params = ApertureParams.from_scenario(make_scenario(), [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        analytic_l1(params, "bogus")
+
+
 def test_l1_is_velocity_independent():
     stat = make_scenario([stationary_target()])
     mov = make_scenario([moving_target(15.0)])
@@ -60,6 +66,7 @@ def test_spectrum_rank_one():
     rep = spectrum(np.outer([1.0, 2.0], [3.0, 4.0, 5.0]))
     assert rep.effective_support == 1
     assert rep.singular_values[1] <= 1e-12 * rep.singular_values[0]
+    assert spectrum(np.zeros((2, 3))).effective_support == 0
 
 
 def test_spectrum_energy_identity():

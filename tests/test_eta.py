@@ -89,6 +89,28 @@ def test_small_support_limit_is_hard_to_separate():
     assert b.dynamic_range < 1.0
 
 
+def test_eta_max_is_continuous_across_n_b_dt_sqrt_pi():
+    # the model sum is one explicit sum for every N B dt, so eta_max has no
+    # jump at N B dt = sqrt(pi), where the large-N closed form is 2.1% off
+    p = params_for(100.0)
+    b_dt = p.bandwidth_parameter * p.delta_t
+    nbdt_per_speed = analytic_column_support(p) * b_dt / 100.0
+    v = math.sqrt(math.pi) / nbdt_per_speed
+    below, above = (eta_bounds_baseband(params_for(v * f)) for f in (1 - 1e-6, 1 + 1e-6))
+    assert below.column_support > 1.0  # clear of the floor at N = 1
+    assert above.eta_max == pytest.approx(below.eta_max, rel=1e-4)
+
+
+def test_nonpositive_aperture_time_rejected():
+    p = params_for()
+    for aperture_time in (0.0, -p.aperture_time):
+        with pytest.raises(ConfigError):
+            ApertureParams(aperture_time=aperture_time, delta_s=p.delta_s,
+                           delta_t=p.delta_t, bandwidth_parameter=p.bandwidth_parameter,
+                           velocity=p.velocity, platform_position=p.platform_position,
+                           reference_point=p.reference_point)
+
+
 def test_eta_max_monotone_in_radial_speed():
     values = [eta_bounds_baseband(params_for(v)).eta_max
               for v in (2.0, 5.0, 10.0, 20.0, 40.0, 80.0)]

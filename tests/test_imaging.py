@@ -20,6 +20,7 @@ def test_zero_matrix_gives_zero_image():
     D = np.zeros_like(synthesize_downramped(sc))
     img = migrate(D, sc, small_grid())
     assert not np.any(img.values)
+    assert peak_report(img) == []
 
 
 def test_stationary_target_peak_location():

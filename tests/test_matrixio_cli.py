@@ -182,8 +182,18 @@ def test_cli_malformed_json_is_config_error(tmp_path):
     (("sampling",), {"gate_start_seconds": "a", "gate_end_seconds": "b"}),
     (("platform",), {"pulse_count": 101.5}),
     (("sampling",), {"delta_t_seconds": float("nan")}),
+    (("pulse",), {"bandwidth_frequency_hz": 0.0}),
+    (("platform",), {"delta_s_seconds": -0.03}),
+    (("platform",), {"pulse_count": 100}),
+    (("targets", 0), {"reflectivity": -1.0}),
+    (("sampling",), {"delta_t_seconds": 0.0}),
+    (("sampling",), {"gate_start_seconds": -1e-6}),
+    (("sampling",), {"gate_start_seconds": 1e-6, "gate_end_seconds": -1e-6}),
+    ((), {"pulse": {"carrier_frequency_hz": 2e8}}),
 ], ids=["reference-not-numeric", "reference-2-vector", "target-2-vector", "gate-strings",
-        "pulse-count-fractional", "delta-t-nan"])
+        "pulse-count-fractional", "delta-t-nan", "bandwidth-zero", "delta-s-negative",
+        "pulse-count-even", "reflectivity-negative", "delta-t-zero", "gate-start-alone",
+        "gate-end-before-start", "bandwidth-missing"])
 def test_cli_malformed_scenario_is_config_error(tmp_path, capsys, where, update):
     doc = json.loads(_scaled_config(tmp_path).read_text())
     section = doc
