@@ -190,8 +190,8 @@ def _velocity(text: str | None) -> list[float]:
         velocity = [float(x) for x in text.split(",")] if text else [0.0] * 3
     except ValueError:
         velocity = []
-    if len(velocity) != 3:
-        raise ConfigError("--velocity must be vx,vy,vz")
+    if len(velocity) != 3 or not all(math.isfinite(x) for x in velocity):
+        raise ConfigError("--velocity must be vx,vy,vz, each finite")
     return velocity
 
 

@@ -36,10 +36,22 @@ from .scenario import C_LIGHT, GATE_MARGIN_OVER_B, Scenario, Target
 ENVELOPE_ZERO = math.sqrt(2.0 * 1075.0 * math.log(2.0))
 
 
+def _distance(a, b) -> np.ndarray:
+    """|a - b| over the last axis of length 3.
+
+    Summed as (dx*dx + dy*dy) + dz*dz, the order in which numpy reduces a
+    length-3 axis, so this equals np.linalg.norm(a - b, axis=-1) bit for bit
+    without its generic reduction.
+    """
+    d = a - b
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def travel_time(scenario: Scenario, s: float, point) -> float:
     """Round-trip time from the platform at slow time s to a fixed point."""
     r = scenario.platform.position_at(s)
-    return 2.0 * float(np.linalg.norm(r - np.asarray(point, dtype=float))) / C_LIGHT
+    return 2.0 * float(_distance(r, np.asarray(point, dtype=float))) / C_LIGHT
 
 
 def differential_delay(scenario: Scenario, points, s) -> np.ndarray:
@@ -49,8 +61,8 @@ def differential_delay(scenario: Scenario, points, s) -> np.ndarray:
     slow time (shape s.shape + (3,)) or many points at one slow time.
     """
     r = scenario.platform.position_at(s)
-    d_p = np.linalg.norm(r - points, axis=-1)
-    d_o = np.linalg.norm(r - scenario.reference_point, axis=-1)
+    d_p = _distance(r, points)
+    d_o = _distance(r, scenario.reference_point)
     return 2.0 * (d_p - d_o) / C_LIGHT
 
 

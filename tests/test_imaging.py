@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sarlrs.errors import ConfigError
 from sarlrs.imaging import ImagingGrid, KmImage, migrate, peak_report, value_at
-from sarlrs.simulate import synthesize_baseband_direct, synthesize_downramped
+from sarlrs.scenario import SamplingGrid, advect
+from sarlrs.simulate import (differential_delay, fast_times, synthesize_baseband_direct,
+                             synthesize_downramped)
 
 from conftest import make_scenario, moving_target, stationary_target
 
@@ -13,6 +17,77 @@ FAST = dict(platform_velocity=(0.0, 300.0, 0.0), ds=0.015)
 def small_grid(center=(0.0, 0.0, 0.0), extent=20.0, pixels=21):
     return ImagingGrid(center=list(center), extent_x=extent, extent_y=extent,
                        nx=pixels, ny=pixels)
+
+
+def migrate_reference(data, scenario, grid, hypothesis_velocity):
+    """Migration through np.interp's search of the gate on every pixel-sample."""
+    t = fast_times(scenario)
+    v = np.asarray(hypothesis_velocity, dtype=float)
+    pix = grid.points()
+    w0 = scenario.pulse.carrier_angular_frequency
+    is_complex = np.iscomplexobj(data)
+    acc = np.zeros(pix.shape[0], dtype=complex if is_complex else float)
+    below = above = 0
+    for j, sj in enumerate(scenario.slow_times()):
+        tau = differential_delay(scenario, advect(pix, v, sj), sj)
+        below += int(np.count_nonzero(tau < t[0]))
+        above += int(np.count_nonzero(tau > t[-1]))
+        vals = np.interp(tau, t, data[j], left=0.0, right=0.0)
+        if is_complex:
+            vals *= np.exp(-1j * w0 * tau)
+        acc += vals
+    return acc.reshape(grid.ny, grid.nx), below, above
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["v0", "mover-v"])
+@pytest.mark.parametrize("baseband", [False, True], ids=["D", "DB"])
+def test_migrate_matches_interp_reference(scaled_scenario, baseband, moving):
+    sc = scaled_scenario
+    data = (synthesize_baseband_direct if baseband else synthesize_downramped)(sc)
+    v = next(t for t in sc.targets if not t.stationary).velocity if moving else [0.0] * 3
+    # 16 m cells over +-200 m: delays fall before the gate and after it
+    grid = small_grid(extent=200.0, pixels=25)
+    img = migrate(data, sc, grid, hypothesis_velocity=v)
+    ref, below, above = migrate_reference(data, sc, grid, v)
+    assert below > 0 and above > 0
+    assert img.out_of_gate == below + above
+    assert np.iscomplexobj(img.values) == baseband
+    assert np.max(np.abs(img.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("edge", [0, -1], ids=["first", "last"])
+def test_delay_on_a_gate_edge_takes_that_sample(edge):
+    # the reference point's differential delay is exactly 0 at every pulse, and
+    # these gates put t[0] == 0.0 or t[-1] == -(40 dt) + 40 dt == 0.0
+    base = make_scenario(**FAST)
+    dt = base.sampling.delta_t
+    gate = (0.0, 40 * dt) if edge == 0 else (-(40 * dt), 0.5 * dt)
+    sc = replace(base, sampling=SamplingGrid(dt, *gate))
+    t = fast_times(sc)
+    assert t[edge] == 0.0
+    data = np.random.default_rng(3).standard_normal((sc.platform.pulse_count, t.size))
+    grid = small_grid(extent=1.0, pixels=3)  # the middle pixel is the reference point
+    img = migrate(data, sc, grid)
+    ref, below, above = migrate_reference(data, sc, grid, [0.0] * 3)
+    assert img.values[1, 1] == pytest.approx(data[:, edge].sum(), rel=1e-12)
+    assert img.out_of_gate == below + above
+    assert np.max(np.abs(img.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("change", [
+    dict(extent_x=np.nan), dict(extent_y=np.inf), dict(extent_x=0.0), dict(extent_y=-1.0),
+    dict(center=[np.nan, 0.0, 0.0]), dict(center=[0.0, np.inf, 0.0]), dict(nx=1)])
+def test_bad_grid_rejected(change):
+    args = dict(center=[0.0, 0.0, 0.0], extent_x=5.0, extent_y=5.0, nx=5, ny=5)
+    with pytest.raises(ConfigError):
+        ImagingGrid(**{**args, **change})
+
+
+@pytest.mark.parametrize("velocity", [[np.nan, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+def test_non_finite_velocity_rejected(velocity):
+    sc = make_scenario([stationary_target()], **FAST)
+    with pytest.raises(ConfigError):
+        migrate(synthesize_downramped(sc), sc, small_grid(), hypothesis_velocity=velocity)
 
 
 def test_zero_matrix_gives_zero_image():
@@ -86,6 +161,14 @@ def test_border_peak_is_reported():
     values[2, 2] = 1.5
     peaks = peak_report(KmImage(values=values, grid=grid))
     assert [p["location"] for p in peaks] == [[4.0, -4.0], [0.0, 0.0]]
+
+
+def test_zero_background_gives_no_peak_ratio():
+    grid = small_grid(extent=4.0, pixels=5)
+    values = np.zeros((grid.ny, grid.nx))
+    values[1, 3] = 2.0
+    peaks = peak_report(KmImage(values=values, grid=grid))
+    assert peaks == [{"location": [2.0, -2.0], "magnitude": 2.0, "peak_to_background": None}]
 
 
 def test_plateau_maxima_are_not_peaks():

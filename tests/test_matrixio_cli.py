@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -361,8 +364,13 @@ def test_cli_unusable_scene_fails_before_any_output(tmp_path, capsys, command, m
     ["decompose", "--windows", "102"],  # the scaled scene has 101 pulses
     ["pipeline", "--grid-pixels", "1"],
     ["image", "--source", "S", "--windows", "0"],
+    ["image", "--grid-pixels", "5", "--grid-extent", "nan"],
+    ["image", "--grid-pixels", "5", "--grid-extent", "inf"],
+    ["image", "--grid-pixels", "5", "--velocity", "nan,0,0"],
+    ["image", "--grid-pixels", "5", "--velocity", "0,-inf,0"],
 ], ids=["decompose-windows-0", "decompose-windows-102", "pipeline-grid-pixels-1",
-        "image-windows-0"])
+        "image-windows-0", "image-extent-nan", "image-extent-inf", "image-velocity-nan",
+        "image-velocity-inf"])
 def test_cli_bad_settings_fail_before_any_output(tmp_path, argv):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
@@ -444,6 +452,23 @@ def test_cli_image_bad_velocity_is_config_error(tmp_path):
     for velocity in ("a,b,c", "1,2"):
         assert main(["image", "--config", str(cfg), "--velocity", velocity,
                      "--out", str(tmp_path / "x")]) == 1
+
+
+def test_cli_image_zero_background_writes_strict_json(tmp_path):
+    # most of a +-400 m grid lies outside the gate, so the median of |I| is 0
+    out = tmp_path / "run"
+    assert main(["image", "--regime", "scaled", "--source", "D", "--grid-extent", "400",
+                 "--grid-pixels", "21", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+            for p in out.glob("*.json")}
+    assert sorted(docs) == ["image_D.json", "scenario.json"]
+    image = docs["image_D.json"]
+    assert image["dynamic_range"] is None
+    assert image["peaks"] and all(p["peak_to_background"] is None for p in image["peaks"])
 
 
 def test_cli_image_not_converged_writes_image_then_exits_3(tmp_path, monkeypatch):
@@ -546,6 +571,16 @@ def test_cli_analyze_reports(tmp_path, monkeypatch):
     assert len(stat_rows) == 10
     summary = json.loads((out / "analysis_summary.json").read_text())
     assert 0.3 <= summary["beta"] <= 0.6
+
+
+def test_python_m_sarlrs_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "sarlrs", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "pipeline" in done.stdout
 
 
 def test_readme_examples_run():

@@ -7,7 +7,7 @@ import pytest
 
 from sarlrs import simulate
 from sarlrs.errors import GateTooNarrow
-from sarlrs.scenario import C_LIGHT, SamplingGrid, Target, load_scenario
+from sarlrs.scenario import C_LIGHT, Platform, SamplingGrid, Target, load_scenario
 from sarlrs.simulate import (ENVELOPE_ZERO, column_support, delta_tau,
                              fast_time_gate, fast_times,
                              synthesize_baseband_direct, synthesize_downramped,
@@ -104,6 +104,46 @@ def test_gotcha_synthesis_evaluates_only_the_envelope_windows(monkeypatch):
     synthesize_downramped(sc)
     # a dense evaluation would be len(targets) * rows * cols = 6 * 237 * 31674
     assert sum(evaluated) <= len(sc.targets) * rows * width
+
+
+def delay_reference(sc, points, s):
+    """differential_delay through np.linalg.norm, as it was first written."""
+    r = sc.platform.position_at(s)
+    return 2.0 * (np.linalg.norm(r - points, axis=-1)
+                  - np.linalg.norm(r - sc.reference_point, axis=-1)) / C_LIGHT
+
+
+def travel_time_reference(sc, s, point):
+    # axis=-1 sums the squares; without it, norm takes BLAS's dot of a vector
+    r = sc.platform.position_at(s)
+    return 2.0 * float(np.linalg.norm(r - np.asarray(point, dtype=float), axis=-1)) / C_LIGHT
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("shape", [(3,), (50, 3), (4, 50, 3)])
+def test_distance_kernel_is_byte_equal_to_norm(shape, scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 10 * len(shape))
+    base = make_scenario()
+    sc = replace(base, reference_point=rng.standard_normal(3) * scale,
+                 platform=Platform(rng.standard_normal(3) * scale,
+                                   rng.standard_normal(3) * scale, base.platform.delta_s,
+                                   base.platform.pulse_count))
+    points = rng.standard_normal(shape) * scale
+    # a view with reversed columns of a contiguous copy: negative strides
+    reversed_view = np.ascontiguousarray(points[..., ::-1])[..., ::-1]
+    assert not reversed_view.flags.c_contiguous
+    # one slow time for all points, or one per leading block of points
+    s = rng.uniform(-1.0, 1.0, size=(shape[0], 1) if len(shape) == 3 else ())
+    for p in (points, reversed_view):
+        got = simulate.differential_delay(sc, p, s)
+        assert got.tobytes() == delay_reference(sc, p, s).tobytes()
+    # one point per slow time
+    per_pulse = rng.uniform(-1.0, 1.0, size=shape[:-1])
+    assert (simulate.differential_delay(sc, points, per_pulse).tobytes()
+            == delay_reference(sc, points, per_pulse).tobytes())
+    for point in points.reshape(-1, 3)[:5]:
+        assert travel_time(sc, 0.25, point) == travel_time_reference(sc, 0.25, point)
+        assert travel_time(sc, 0.25, list(point)) == travel_time_reference(sc, 0.25, point)
 
 
 def test_travel_time_coincident_point_is_zero():
