@@ -1,20 +1,16 @@
 """Complex-baseband conversion of the real down-ramped matrix.
 
-Each row is zero-padded to the next 5-smooth length P >= m (P = 2^a 3^b 5^c:
-3000 for the scaled gate's 2992 columns, 32000 for gotcha's 31674) and
-real-FFT'd.  The bins within 6B of -w0 are kept with gain 2, the rest are
-zeroed, and the result is inverse-FFT'd at P, cropped to the gate's m
-columns and mixed up by exp(1j w0 t): a brick-wall low-pass of half-width
-6B around baseband.  The factor of 2 restores unit peak magnitude after the
-image at +w0 is rejected.  Reconstruction is Re{exp(-1j w0 t) D_B}; no data
-is lost.
+Each row of m samples is real-FFT'd at m, which `simulate.fast_times` makes
+5-smooth (3000 on the shipped `scaled` gate, 32000 on `gotcha`).  The bins
+`passband_bins` names, those within 6B of -w0, are kept with gain 2, the
+rest are zeroed, and the result is inverse-FFT'd at m and mixed up by
+exp(1j w0 t): a brick-wall low-pass of half-width 6B around baseband.  The
+factor of 2 restores unit peak magnitude after the image at +w0 is rejected.
+Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
 
-Because of the zero padding the brick wall is a linear filter over the
-gate, not a circular one at m.  So D_B lies in the K bins of the m-point
-DFT that `passband_bins` gives only up to about 1e-9 of its norm.
-`resample` moves that band exactly between the gate's m samples and any
-grid of >= K samples over the same span; K samples is the critically
-sampled grid.
+`passband_bins` is the one definition of the band.  `to_solve_grid` and
+`from_solve_grid` read the same bins to move D_B exactly between the gate's
+m samples and its critically sampled grid of K samples.
 """
 
 from __future__ import annotations
@@ -35,13 +31,10 @@ PASSBAND_GAIN = 2.0
 def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
     """Per-row FFT demodulation of a real matrix to complex baseband.
 
-    One real FFT and one inverse FFT, both at the next 5-smooth length P >= m:
-    the gate's own length may have a large prime factor (31674 = 2 3 5279 on
-    gotcha), where an FFT costs several times more.  Bin k of the padded
-    spectrum, at angular frequency 2 pi k / (P dt), is kept when it lies
-    within PASSBAND_OVER_B * B of -w0.
-    t0 is the fast time of the first column; the mixer phase must use the
-    absolute fast-time axis for the reconstruction identity to hold.
+    One real FFT and one inverse FFT at the row length m, keeping the bins
+    of `passband_bins`.  t0 is the fast time of the first column; the mixer
+    phase must use the absolute fast-time axis for the reconstruction
+    identity to hold.
     """
     D = np.asarray(D)
     if D.ndim != 2 or D.shape[1] < 8:
@@ -50,65 +43,60 @@ def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) ->
     if w0 * delta_t >= np.pi:
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
     m = D.shape[1]
-    P = _smooth_length(m)
-    half = np.fft.rfft(D, n=P, axis=1)
-    w = 2.0 * np.pi * np.fft.fftfreq(P, d=delta_t)
-    k = np.flatnonzero(np.abs(w + w0) <= PASSBAND_OVER_B * pulse.bandwidth_parameter)
-    # a real row's bin k > P/2 is the conjugate of its rfft bin P - k
-    src = np.minimum(k, P - k)
-    spec = np.zeros((D.shape[0], P), dtype=half.dtype)
-    spec[:, k] = PASSBAND_GAIN * np.where(k > P // 2, half[:, src].conj(), half[:, src])
-    del half
-    np.fft.ifft(spec, axis=1, out=spec)
-    t = t0 + np.arange(m) * delta_t
-    return spec[:, :m] * np.exp(1j * w0 * t)[None, :]
-
-
-def _smooth_length(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m: FFTs at such lengths avoid large prime factors."""
-    n = m
-    while True:
-        r = n
-        for p in (2, 3, 5):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return n
-        n += 1
+    k = passband_bins(m, pulse, delta_t)
+    # a real row's bin -j is the conjugate of its rfft bin j
+    half = np.fft.rfft(D, axis=1, norm="forward")[:, np.abs(k)]
+    return _to_gate(PASSBAND_GAIN * np.where(k < 0, half.conj(), half), k, m, pulse, delta_t, t0)
 
 
 def passband_bins(m: int, pulse: Pulse, delta_t: float) -> np.ndarray:
-    """Signed m-point DFT indices k (angular frequency 2 pi k / (m dt)) of D_B's band.
-
-    The set is |w| <= PASSBAND_OVER_B * B, in FFT order (0, 1, ..., -1).
-    Negative k index an FFT axis of any length >= K from its end.
-    `to_baseband` filters at a padded length, so its output holds about
-    1e-9 of its norm outside these bins.
+    """The band `to_baseband` keeps: the consecutive signed m-point DFT indices k, at
+    angular frequency 2 pi k / (m dt), within PASSBAND_OVER_B * B of -w0.  Negative k
+    index an FFT axis from its end.  Their count K is the solve grid's column count.
     """
-    w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
-    idx = np.flatnonzero(np.abs(w) <= PASSBAND_OVER_B * pulse.bandwidth_parameter)
-    return np.where(idx < (m + 1) // 2, idx, idx - m)
+    k = np.arange(-(m // 2), (m + 1) // 2)
+    w = 2.0 * np.pi * k / (m * delta_t)
+    return k[np.abs(w + pulse.carrier_angular_frequency)
+             <= PASSBAND_OVER_B * pulse.bandwidth_parameter]
 
 
-def resample(M: np.ndarray, bins: np.ndarray, length: int) -> np.ndarray:
-    """Rows band-limited to the DFT bins `bins`, resampled onto `length` samples.
+def to_solve_grid(DB: np.ndarray, pulse: Pulse, delta_t: float, t0: float) -> np.ndarray:
+    """D_B's rows on their critically sampled grid: K samples over the gate's span.
 
-    Both grids span the same time, starting at the same instant: the
-    output is the rows' band-limited interpolant sampled at dt * m / length.
-    It is exact for length >= len(bins), in both directions, and linear
-    per row; from m to K = len(bins) samples it scales every singular value
-    by sqrt(K / m), and back by sqrt(m / K).
+    Demixed by exp(-1j w0 t), with the t0 given to `to_baseband`, a row holds
+    only the K bins of `passband_bins`.  Bin k goes to bin k mod K of a K-point
+    inverse FFT, which samples the demixed row every m / K columns.  The map is
+    exact, linear per row, and scales every singular value by sqrt(K / m).  The
+    grid has no mixer: unit column phases change no singular value or modulus.
     """
-    M = np.asarray(M)
-    spec = np.fft.fft(M, axis=1, norm="forward")
-    out = np.zeros((M.shape[0], length), dtype=spec.dtype)
-    out[:, bins] = spec[:, bins]
-    return np.fft.ifft(out, axis=1, norm="forward")
+    bins = passband_bins(DB.shape[1], pulse, delta_t)
+    spec = DB * _mixer(DB.shape[1], -pulse.carrier_angular_frequency, delta_t, t0)
+    np.fft.fft(spec, axis=1, norm="forward", out=spec)
+    return np.fft.ifft(np.roll(spec[:, bins], bins[0], axis=1), axis=1, norm="forward")
+
+
+def from_solve_grid(M: np.ndarray, pulse: Pulse, delta_t: float, m: int, t0: float) -> np.ndarray:
+    """The inverse of `to_solve_grid`: K-sample rows back onto the gate's m samples."""
+    bins = passband_bins(m, pulse, delta_t)
+    band = np.roll(np.fft.fft(M, axis=1, norm="forward"), -bins[0], axis=1)
+    return _to_gate(band, bins, m, pulse, delta_t, t0)
+
+
+def _to_gate(band, bins, m: int, pulse: Pulse, delta_t: float, t0: float) -> np.ndarray:
+    """Rows of m-point DFT values on `bins` (norm="forward") as m samples, mixed up."""
+    out = np.zeros((band.shape[0], m), dtype=complex)
+    out[:, bins] = band
+    np.fft.ifft(out, axis=1, norm="forward", out=out)
+    out *= _mixer(m, pulse.carrier_angular_frequency, delta_t, t0)
+    return out
+
+
+def _mixer(m: int, w: float, delta_t: float, t0: float) -> np.ndarray:
+    """exp(1j w t) at t = t0 + l dt: exp(-1j w0 t) is then exactly exp(1j w0 t)'s conjugate."""
+    return np.exp(1j * w * (t0 + np.arange(m) * delta_t))
 
 
 def from_baseband(DB: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
     """Reconstruct the real down-ramped matrix: Re{exp(-1j w0 t) D_B}."""
     DB = np.asarray(DB)
-    m = DB.shape[1]
-    t = t0 + np.arange(m) * delta_t
-    return np.real(DB * np.exp(-1j * pulse.carrier_angular_frequency * t)[None, :])
+    return np.real(DB * _mixer(DB.shape[1], -pulse.carrier_angular_frequency, delta_t, t0))

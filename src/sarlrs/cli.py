@@ -6,11 +6,11 @@ of `pipeline`.  `image` stops at the stage that makes its --source (D simulate,
 DB baseband, L and S decompose) and images that matrix.  `eta` and `analyze`
 take their own short paths.
 
-RPCA runs on DB's critically sampled grid: `baseband.resample` moves DB onto
-as many columns as `to_baseband` keeps DFT bins, and L and S back onto the
-gate's columns, so the written matrices keep DB's shape.  `pipeline` writes
-the DB, L and S rows of spectra.csv from the short-grid matrices the solve
-already holds.
+RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` moves DB
+exactly onto as many columns as `to_baseband` keeps DFT bins, and
+`baseband.from_solve_grid` moves L and S back onto the gate's columns, so the
+written matrices keep DB's shape.  `pipeline` writes the DB, L and S rows of
+spectra.csv from the short-grid matrices the solve already holds.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
@@ -80,10 +80,9 @@ def _first_mover(sc: Scenario) -> Target:
     raise ConfigError("scenario has no moving target")
 
 
-def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
+def _resolve_eta(mode: str, sc: Scenario, m: int) -> tuple[float, str]:
     if mode == "conventional":
-        rows, cols = sc.platform.pulse_count, simulate.fast_times(sc).size  # the shape of D
-        return eta.conventional_eta(rows, cols), "conventional"
+        return eta.conventional_eta(sc.platform.pulse_count, m), "conventional"  # D's shape
     if mode == "optimal":
         params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
         return eta.eta_bounds_baseband(params).eta_star, "analytic-optimal"
@@ -94,18 +93,17 @@ def _resolve_eta(mode: str, sc: Scenario) -> tuple[float, str]:
     return value, "explicit"  # `_solve_config` checks it
 
 
-def _solve_config(sc: Scenario, eta_value: float) -> tuple[np.ndarray, rpca.RpcaConfig]:
-    """The DFT bins that make DB's critically sampled grid, and the RPCA settings there.
+def _solve_config(sc: Scenario, m: int, eta_value: float) -> rpca.RpcaConfig:
+    """The RPCA settings on the critically sampled grid of DB's m columns.
 
-    The map from the K kept bins' grid to DB's m columns scales singular
-    values by sqrt(m / K), and an l1 norm of a sparse trace by about m / K,
-    so the full-grid eta becomes eta * sqrt(m / K) on the short grid.  Both
-    m and K follow from the scene, so a value that overflows there is
-    rejected before any stage writes.
+    The map from the grid of the K kept bins to DB's m columns scales
+    singular values by sqrt(m / K), and an l1 norm of a sparse trace by
+    about m / K, so the full-grid eta becomes eta * sqrt(m / K) on the short
+    grid.  Both m and K follow from the scene, so a value that overflows
+    there is rejected before any stage writes.
     """
-    m = simulate.fast_times(sc).size  # DB's columns
-    bins = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t)
-    return bins, rpca.RpcaConfig(eta=eta_value * math.sqrt(m / bins.size))
+    K = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t).size
+    return rpca.RpcaConfig(eta=eta_value * math.sqrt(m / K))
 
 
 def _build() -> dict:
@@ -114,7 +112,7 @@ def _build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-def _decompose(DB: np.ndarray, args, bins: np.ndarray, config: rpca.RpcaConfig,
+def _decompose(DB: np.ndarray, sc: Scenario, t0: float, args, config: rpca.RpcaConfig,
                eta_value: float, eta_mode: str):
     """RPCA of DB on its critically sampled grid, with L and S mapped back to DB's.
 
@@ -123,13 +121,14 @@ def _decompose(DB: np.ndarray, args, bins: np.ndarray, config: rpca.RpcaConfig,
     written to rpca_report.json and summary.json, and the short-grid DB, L
     and S, whose singular values are DB's, L's and S's times sqrt(K / m).
     """
-    m = DB.shape[1]
-    DB_K = baseband.resample(DB, bins, bins.size)
+    m, grid = DB.shape[1], (sc.pulse, sc.sampling.delta_t)
+    DB_K = baseband.to_solve_grid(DB, *grid, t0=t0)
     dec = rpca.decompose_windowed(DB_K, args.windows, config)
     short = {"DB": DB_K, "L": dec.L, "S": dec.S}
-    dec = replace(dec, L=baseband.resample(dec.L, bins, m), S=baseband.resample(dec.S, bins, m))
+    dec = replace(dec, L=baseband.from_solve_grid(dec.L, *grid, m, t0=t0),
+                  S=baseband.from_solve_grid(dec.S, *grid, m, t0=t0))
     report = {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
-              "solve_columns": bins.size, "iterations": dec.iterations,
+              "solve_columns": DB_K.shape[1], "iterations": dec.iterations,
               "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
               "converged": dec.converged,
               "degenerate": "rank-0 L: S holds all of DB" if dec.rank == 0 else None,
@@ -137,12 +136,12 @@ def _decompose(DB: np.ndarray, args, bins: np.ndarray, config: rpca.RpcaConfig,
     return dec, report, short
 
 
-def _eta_bounds(sc: Scenario) -> dict:
+def _eta_bounds(sc: Scenario, m: int) -> dict:
     params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
     return {
         "baseband": eta.eta_bounds_baseband(params).as_dict(),
         "original": eta.eta_bounds_original(params).as_dict(),
-        "conventional": _resolve_eta("conventional", sc)[0],
+        "conventional": _resolve_eta("conventional", sc, m)[0],
     }
 
 
@@ -201,6 +200,7 @@ def _run(args, last: str) -> int:
     `last` == "image" runs up to the stage that makes --source, then images it.
     """
     sc = _load(args)
+    t = simulate.fast_times(sc)
     # bad --velocity, --eta, --windows or grid options are configuration errors
     # before any stage writes
     if last == "image":
@@ -213,8 +213,8 @@ def _run(args, last: str) -> int:
     if "decompose" in stages and not 1 <= args.windows <= sc.platform.pulse_count:
         raise ConfigError("--windows must be in [1, pulse count]")
     if "decompose" in stages:
-        eta_used = _resolve_eta(args.eta, sc)
-        solve = _solve_config(sc, eta_used[0])
+        eta_used = _resolve_eta(args.eta, sc, t.size)
+        config = _solve_config(sc, t.size, eta_used[0])
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
     ends = [("start", time.perf_counter())]  # (stage, when it ended)
@@ -224,12 +224,11 @@ def _run(args, last: str) -> int:
     ends.append(("simulate", time.perf_counter()))
     matrices, dec = {"D": D}, None
     if "baseband" in stages:
-        DB = matrices["DB"] = baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t,
-                                                   t0=simulate.fast_times(sc)[0])
+        DB = matrices["DB"] = baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
         matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
         ends.append(("baseband", time.perf_counter()))
     if "decompose" in stages:
-        dec, report, short = _decompose(DB, args, *solve, *eta_used)
+        dec, report, short = _decompose(DB, sc, t[0], args, config, *eta_used)
         matrices.update(L=dec.L, S=dec.S)
         matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
         matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
@@ -253,7 +252,7 @@ def _run(args, last: str) -> int:
         _write_image(out, f"image_{name}", img)
     if "pipeline" in stages:
         used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
-        _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc)})
+        _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc, t.size)})
         metrics = analysis.separation_metrics(dec, sc).as_dict()
         _write_json(out / "metrics.json", metrics)
         ends.append(("tail", time.perf_counter()))
@@ -290,7 +289,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_eta(args) -> int:
     sc = _load(args)
-    report = _eta_bounds(sc)
+    report = _eta_bounds(sc, simulate.fast_times(sc).size)
     _write_json(_outdir(args) / "eta_report.json", report)
     print(json.dumps(report, indent=2))
     return EXIT_OK
@@ -316,7 +315,7 @@ def cmd_analyze(args) -> int:
     eta_min_orig = analysis.nuclear_to_l1(simulate.synthesize_downramped(single(stat_template)))
     sweep = analysis.nuclear_velocity_exponent(sc, mover.position, SWEEP_SPEEDS, direction)
 
-    rows = []
+    rows, n_b_dt = [], []
     for v, nuclear, frobenius, l1 in zip(sweep["speeds"], sweep["nuclear"],
                                          sweep["frobenius"], sweep["l1"]):
         tgt = Target(position=mover.position, velocity=v * direction)
@@ -324,6 +323,8 @@ def cmd_analyze(args) -> int:
         orig = empirical(eta_min_orig,
                          analysis.nuclear_to_l1(simulate.synthesize_downramped(single(tgt))))
         params = eta.ApertureParams.from_scenario(sc, tgt.velocity)
+        n_b_dt.append(eta.analytic_column_support(params) * params.bandwidth_parameter
+                      * params.delta_t)
         rows.append({
             "speed_mps": v,
             "nuclear": nuclear,
@@ -350,7 +351,8 @@ def cmd_analyze(args) -> int:
                           "eta_star_empirical": empirical(emin, emax).eta_star})
     _write_csv(out / "stationary_count_sweep.csv", stat_rows)
 
-    summary = {"beta": sweep["beta"], "frobenius_slope": sweep["frobenius_slope"]}
+    summary = {"beta": sweep["beta"], "n_b_dt": [min(n_b_dt), max(n_b_dt)],
+               "frobenius_slope": sweep["frobenius_slope"]}
     _write_json(out / "analysis_summary.json", summary)
     return EXIT_OK
 

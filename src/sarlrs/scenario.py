@@ -80,7 +80,7 @@ class Target:
 class SamplingGrid:
     delta_t: float                     # fast-time step [s]
     gate_start: float | None = None    # explicit gate; None = auto from targets
-    gate_end: float | None = None
+    gate_end: float | None = None      # samples run on to a 5-smooth count (fast_times)
 
     def __post_init__(self):
         if self.delta_t <= 0:

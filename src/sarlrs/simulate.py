@@ -14,7 +14,7 @@ Synthesis is band-limited but exact.  The envelope exp(-B^2 arg^2 / 2)
 underflows to exactly 0.0 in float64 once |B arg| > ENVELOPE_ZERO (~38.6),
 so each target is evaluated only on a per-row window of columns around
 t = dtau_i(s_j), ENVELOPE_ZERO/B to each side plus one guard column (about
-4 900 of gotcha's 31 674 columns).  Inside the window the same expression is
+4 900 of gotcha's 32 000 columns).  Inside the window the same expression is
 evaluated on the same t values as a dense evaluation; outside it every term
 would be +-0.0, and adding a signed zero changes no entry.  The result is
 therefore byte-identical to evaluating every target on the whole grid.  A
@@ -95,11 +95,21 @@ def fast_time_gate(scenario: Scenario) -> tuple[float, float]:
     return -margin, margin
 
 
+def _smooth_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m: FFTs at such lengths avoid large prime factors."""
+    n = m
+    while pow(30, n, n):  # n is 5-smooth exactly when it divides 30^n
+        n += 1
+    return n
+
+
 def fast_times(scenario: Scenario) -> np.ndarray:
+    """The gate's samples t0 + l dt up to its end, and on to a 5-smooth count for cheap
+    FFTs: 2992 -> 3000 on the shipped `scaled` gate, 31674 -> 32000 on `gotcha`."""
     t0, t1 = fast_time_gate(scenario)
     dt = scenario.sampling.delta_t
-    m = int(math.floor((t1 - t0) / dt))
-    return t0 + np.arange(m + 1) * dt
+    m = _smooth_length(int(math.floor((t1 - t0) / dt)) + 1)
+    return t0 + np.arange(m) * dt
 
 
 def _check_gate(scenario: Scenario, delays: np.ndarray, t: np.ndarray) -> None:
@@ -136,7 +146,7 @@ def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
 
 
 def synthesize_downramped(scenario: Scenario) -> np.ndarray:
-    """Real down-ramped data matrix, shape (n+1, m+1)."""
+    """Real down-ramped data matrix, shape (n+1, len(fast_times))."""
     return _synthesize(scenario, float, lambda w0, arg, dtau: np.cos(w0 * arg))
 
 

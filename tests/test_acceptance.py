@@ -243,7 +243,7 @@ def test_criterion_10_eta_diagnostics():
 
 
 def test_criterion_11_gotcha_end_to_end():
-    # The shipped X-band scene: D_B is 237 x 31674 complex.  Solved at eta* to
+    # The shipped X-band scene: D_B is 237 x 32000 complex.  Solved at eta* to
     # tol 1e-2, the benchmark's gotcha-rpca setting (11 iterations).
     with resources.as_file(resources.files("sarlrs").joinpath("data/gotcha.json")) as p:
         sc = load_scenario(p)

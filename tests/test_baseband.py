@@ -1,10 +1,13 @@
+import json
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from sarlrs.baseband import from_baseband, passband_bins, resample, to_baseband
+from sarlrs.baseband import (from_baseband, from_solve_grid, passband_bins, to_baseband,
+                             to_solve_grid)
+from sarlrs.cli import main
 from sarlrs.errors import CarrierAliased, ConfigError
 from sarlrs.rpca import singular_values
 from sarlrs.scenario import Pulse, SamplingGrid, load_scenario
@@ -60,7 +63,7 @@ def test_filter_is_a_projection():
     # re-filter: demodulating the reconstruction must reproduce the same matrix
     twice = to_baseband(from_baseband(once, sc.pulse, dt, t0=t[0]),
                         sc.pulse, dt, t0=t[0])
-    assert np.max(np.abs(twice - once)) <= 1e-9 * np.max(np.abs(once))
+    assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
 
 
 def test_linearity():
@@ -96,35 +99,32 @@ def test_fewer_than_eight_columns_rejected():
 
 
 def _reference_to_baseband(D, pulse, delta_t, t0):
-    """The demodulation as a circular filter at the gate's own length, with its own mask."""
+    """The demodulation as one complex FFT at the gate's own length, with its own mask."""
     m = D.shape[1]
     t = t0 + np.arange(m) * delta_t
-    spec = np.fft.fft(D * np.exp(1j * pulse.carrier_angular_frequency * t)[None, :], axis=1)
+    spec = np.fft.fft(D, axis=1)
     w = 2.0 * np.pi * np.fft.fftfreq(m, d=delta_t)
-    keep = np.abs(w) <= 6.0 * pulse.bandwidth_parameter
+    keep = np.abs(w + pulse.carrier_angular_frequency) <= 6.0 * pulse.bandwidth_parameter
     spec *= np.where(keep, 2.0, 0.0)[None, :]
-    return np.fft.ifft(spec, axis=1)
+    return np.fft.ifft(spec, axis=1) * np.exp(1j * pulse.carrier_angular_frequency * t)
 
 
-@pytest.mark.parametrize("regime, kept", [("scaled", 135), ("gotcha", 945)])
+@pytest.mark.parametrize("regime, kept", [("scaled", 135), ("gotcha", 956)])
 def test_critically_sampled_grid_is_exact(regime, kept):
     with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
         sc = load_scenario(p)
     D = synthesize_downramped(sc)
     dt, t0 = sc.sampling.delta_t, fast_times(sc)[0]
     DB = to_baseband(D, sc.pulse, dt, t0=t0)
-    # the padded (linear) filter against the circular one at the gate's length
     ref = _reference_to_baseband(D, sc.pulse, dt, t0)
-    assert np.max(np.abs(DB - ref)) <= 2e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(DB - ref)) <= 1e-13 * np.max(np.abs(ref))
     m = DB.shape[1]
-    bins = passband_bins(m, sc.pulse, dt)
-    assert bins.size == kept
-    short = resample(DB, bins, bins.size)
+    assert passband_bins(m, sc.pulse, dt).size == kept
+    short = to_solve_grid(DB, sc.pulse, dt, t0=t0)
     assert short.shape == (DB.shape[0], kept)
-    band = resample(DB, bins, m)
-    # the map between the grids is exact on the band, which holds nearly all of DB
-    assert np.linalg.norm(resample(short, bins, m) - band) <= 1e-13 * np.linalg.norm(DB)
-    assert np.linalg.norm(DB - band) <= 3e-9 * np.linalg.norm(DB)
+    # DB lies in the kept bins, so the round trip through the short grid returns it
+    back = from_solve_grid(short, sc.pulse, dt, m, t0=t0)
+    assert np.linalg.norm(back - DB) <= 1e-13 * np.linalg.norm(DB)
     # the map between the grids is a scaled isometry
     full_sigma, short_sigma = singular_values(DB), singular_values(short)
     assert np.max(np.abs(short_sigma - full_sigma * np.sqrt(kept / m))) <= 1e-12 * short_sigma[0]
@@ -135,10 +135,21 @@ def _shipped(regime):
         return load_scenario(p)
 
 
-def test_no_fft_at_an_unsmooth_length(monkeypatch):
-    sc = _shipped("scaled")
-    D = synthesize_downramped(sc)
-    assert D.shape[1] == 2992  # 2^4 * 11 * 17
+def _is_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_no_fft_at_an_unsmooth_length(monkeypatch, tmp_path):
+    # 2992 = 2^4 11 17 and 31674 = 2 3 5279 samples reach the shipped gates' ends,
+    # and an explicit gate of 41 samples reaches the end of (0, 40 dt)
+    base = make_scenario([stationary_target()], n=10)
+    dt = base.sampling.delta_t
+    explicit = replace(base, sampling=SamplingGrid(dt, 0.0, 40 * dt))
+    for sc, m in ((_shipped("scaled"), 3000), (_shipped("gotcha"), 32000), (explicit, 45)):
+        assert fast_times(sc).size == m and _is_smooth(m)
     lengths = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         transform = getattr(np.fft, name)
@@ -147,13 +158,12 @@ def test_no_fft_at_an_unsmooth_length(monkeypatch):
             lengths.append(np.shape(a)[axis] if n is None else n)
             return transform(a, n, axis, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, recorded)
-    _transform(sc, D)
-    assert lengths
-    for n in lengths:
-        for p in (2, 3, 5):
-            while n % p == 0:
-                n //= p
-        assert n == 1, lengths
+    assert main(["pipeline", "--regime", "scaled", "--eta", "optimal", "--grid-pixels", "11",
+                 "--out", str(tmp_path)]) == 0
+    K = json.loads((tmp_path / "rpca_report.json").read_text())["solve_columns"]
+    assert 3000 in lengths
+    # the solve grid's K-point transforms are small and may take any length
+    assert all(_is_smooth(n) for n in lengths if n != K), lengths
 
 
 @pytest.mark.parametrize("regime", ["scaled", "gotcha"])

@@ -58,10 +58,10 @@ def test_migrate_matches_interp_reference(scaled_scenario, baseband, moving):
 @pytest.mark.parametrize("edge", [0, -1], ids=["first", "last"])
 def test_delay_on_a_gate_edge_takes_that_sample(edge):
     # the reference point's differential delay is exactly 0 at every pulse, and
-    # these gates put t[0] == 0.0 or t[-1] == -(40 dt) + 40 dt == 0.0
+    # these gates put t[0] == 0.0 or t[-1] == -(44 dt) + 44 dt == 0.0
     base = make_scenario(**FAST)
     dt = base.sampling.delta_t
-    gate = (0.0, 40 * dt) if edge == 0 else (-(40 * dt), 0.5 * dt)
+    gate = (0.0, 40 * dt) if edge == 0 else (-(44 * dt), 0.5 * dt)
     sc = replace(base, sampling=SamplingGrid(dt, *gate))
     t = fast_times(sc)
     assert t[edge] == 0.0

@@ -289,7 +289,7 @@ def test_cli_conventional_eta_is_the_full_grid_value(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads((out / "rpca_report.json").read_text())
     assert report["eta_mode"] == "conventional"
-    assert report["eta"] == conventional_eta(101, 2992)
+    assert report["eta"] == conventional_eta(101, 3000)
 
 
 def test_cli_decompose_gotcha_end_to_end(tmp_path):
@@ -298,7 +298,7 @@ def test_cli_decompose_gotcha_end_to_end(tmp_path):
                  "--out", str(out)]) == 0
     DB, L, S = (read_matrix(out / f"{name}.sarm")[0] for name in ("DB", "L", "S"))
     for M in (L, S):
-        assert M.dtype == np.complex128 and M.shape == (237, 31674)
+        assert M.dtype == np.complex128 and M.shape == (237, 32000)
     assert np.linalg.norm(DB - L - S) <= 1e-7 * np.linalg.norm(DB)
     assert json.loads((out / "rpca_report.json").read_text())["rank_L"] >= 1
 
@@ -319,7 +319,7 @@ def test_cli_rank_zero_split_writes_outputs_then_exits_3(tmp_path, capsys):
                                  ["--eta", "0"], ["--eta=-1"], ["--eta", "1e308"]],
                          ids=["bogus", "nan", "inf", "0", "-1", "1e308"])
 def test_cli_bad_eta_value(tmp_path, eta):
-    # 1e308 is finite, but its short-grid value 1e308 * sqrt(2992 / 135) is not
+    # 1e308 is finite, but its short-grid value 1e308 * sqrt(3000 / 135) is not
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "x"
     assert main(["decompose", "--config", str(cfg), *eta, "--out", str(out)]) == 1
@@ -340,7 +340,7 @@ def test_cli_explicit_eta_is_scaled_onto_the_short_grid(tmp_path, monkeypatch):
     report = json.loads((out / "rpca_report.json").read_text())
     assert (report["eta_mode"], report["eta"]) == ("explicit", 0.002)
     assert report["rank_L"] == 0
-    assert etas == [0.002 * math.sqrt(2992 / 135)]
+    assert etas == [0.002 * math.sqrt(3000 / 135)]
 
 
 @pytest.mark.parametrize("command, moving, message", [
@@ -399,9 +399,9 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
                  "--grid-extent", "20", "--grid-pixels", "11",
                  "--out", str(out)]) == 0
     assert len(calls) == 1  # D is synthesized once and reused for DB
-    # only D's spectrum is taken at the gate's 2992 columns; DB's, L's and
+    # only D's spectrum is taken at the gate's 3000 columns; DB's, L's and
     # S's are read off the short-grid matrices the solve holds
-    assert qr_rows.count(2992) == 1
+    assert qr_rows.count(3000) == 1
     for name in ("D.sarm", "DB.sarm", "L.sarm", "S.sarm", "eta_report.json",
                  "spectra.csv", "metrics.json", "summary.json",
                  "image_DB.pgm", "image_L.pgm", "image_S.pgm"):
@@ -571,6 +571,8 @@ def test_cli_analyze_reports(tmp_path, monkeypatch):
     assert len(stat_rows) == 10
     summary = json.loads((out / "analysis_summary.json").read_text())
     assert 0.3 <= summary["beta"] <= 0.6
+    # the sweep's N B dt range, from the analytic column support at each speed
+    assert summary["n_b_dt"] == pytest.approx([1.315, 13.15], rel=1e-3)
 
 
 def test_python_m_sarlrs_runs_the_cli():

@@ -102,7 +102,7 @@ def test_gotcha_synthesis_evaluates_only_the_envelope_windows(monkeypatch):
     monkeypatch.setattr(np, "exp",
                         lambda x, *a, **k: evaluated.append(np.size(x)) or exp(x, *a, **k))
     synthesize_downramped(sc)
-    # a dense evaluation would be len(targets) * rows * cols = 6 * 237 * 31674
+    # a dense evaluation would be len(targets) * rows * cols = 6 * 237 * 32000
     assert sum(evaluated) <= len(sc.targets) * rows * width
 
 
