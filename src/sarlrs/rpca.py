@@ -1,6 +1,8 @@
 """Low-rank plus sparse decomposition by the inexact augmented Lagrangian method.
 
 Solves  min ||L||_* + eta ||S||_1  s.t.  L + S = D  for real or complex D.
+The weight eta is a number chosen by the caller: the eta module derives it
+(`conventional_eta`, the band of `eta_bounds_baseband`), this one only uses it.
 Sparse shrinkage preserves the complex argument of each entry; singular value
 thresholding acts on the (real, nonnegative) spectrum.
 
@@ -44,13 +46,13 @@ slower, 16384 to 65536 12-27 % slower, and whole arrays twice as slow.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, SvdFailure
-from .eta import conventional_eta
 
 MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
 RHO = 1.4                    # penalty growth factor per iteration
@@ -67,24 +69,18 @@ CHUNK = 8192                 # entries per slice of decompose's elementwise pass
 
 @dataclass(frozen=True)
 class RpcaConfig:
-    eta: float | str = "conventional"  # weight of the sparse term, or "conventional"
-    tol: float = 1e-7                  # relative Frobenius residual
+    """Solver settings.  eta is a number: callers derive it with the eta module."""
+
+    eta: float                 # weight of the sparse term
+    tol: float = 1e-7          # relative Frobenius residual
     max_iter: int = 1000
 
     def __post_init__(self):
-        # eta and tol must be finite and positive: the comparisons fail for nan
-        if not 0 < self.tol < math.inf or self.max_iter < 1:
-            raise ConfigError("bad convergence settings")
-        if isinstance(self.eta, str):
-            if self.eta != "conventional":
-                raise ConfigError(f"unknown eta mode '{self.eta}'")
-        elif not 0 < self.eta < math.inf:
-            raise ConfigError("eta must be finite and positive")
-
-    def resolve_eta(self, shape) -> float:
-        if isinstance(self.eta, str):
-            return conventional_eta(*shape)
-        return float(self.eta)
+        # eta and tol must be finite, positive real numbers: nan fails the comparison
+        if not all(isinstance(x, numbers.Real) and 0 < x < math.inf for x in (self.eta, self.tol)):
+            raise ConfigError("eta and tol must be finite, positive numbers")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ConfigError("max_iter must be a positive integer")
 
 
 @dataclass
@@ -229,12 +225,12 @@ def _chunks(*arrays):
         yield [f[start:start + CHUNK] for f in flat]
 
 
-def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition:
+def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
     D = np.ascontiguousarray(D)
     norm_f = np.linalg.norm(D)  # nan or inf when any entry is
     if not 0 < norm_f < math.inf:
         raise ConfigError("input matrix is zero or has non-finite entries")
-    eta = config.resolve_eta(D.shape)
+    eta = float(config.eta)  # a numpy float32 eta would round eta / mu to 32 bits
     norm2 = spectral_norm(D)
     d_max = np.max(np.abs(D))
     mu = MU0_FACTOR / norm2
@@ -293,16 +289,14 @@ def decompose(D: np.ndarray, config: RpcaConfig = RpcaConfig()) -> Decomposition
     )
 
 
-def decompose_windowed(D: np.ndarray, windows: int,
-                       config: RpcaConfig = RpcaConfig()) -> Decomposition:
+def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decomposition:
     """Split rows into consecutive slow-time blocks and decompose each.
 
-    The conventional eta is recomputed per block (max(n1, n2) changes with
-    the block height); an explicit eta is used unchanged.
+    Every block is solved at the same config, so at the same eta.
     """
     D = np.asarray(D)
-    if windows < 1 or windows > D.shape[0]:
-        raise ConfigError("windows must be in [1, row count]")
+    if not isinstance(windows, numbers.Integral) or windows < 1 or windows > D.shape[0]:
+        raise ConfigError("windows must be an integer in [1, row count]")
     edges = np.linspace(0, D.shape[0], windows + 1).astype(int)
     L = np.zeros_like(D)
     S = np.zeros_like(D)

@@ -15,7 +15,8 @@ from sarlrs.analysis import (empirical_eta_bounds, gaussian_decay_fit, l1_norm,
                              analytic_l1, nuclear_velocity_exponent,
                              separation_metrics, spectrum)
 from sarlrs.baseband import from_baseband, to_baseband
-from sarlrs.eta import ApertureParams, eta_bounds_baseband, eta_bounds_original
+from sarlrs.eta import (ApertureParams, conventional_eta, eta_bounds_baseband,
+                        eta_bounds_original)
 from sarlrs.imaging import ImagingGrid, migrate, peak_report, value_at
 from sarlrs.rpca import RpcaConfig, decompose, decompose_windowed
 from sarlrs.scenario import load_scenario
@@ -119,7 +120,7 @@ def test_criterion_06_rpca_exact_recovery():
     S0 = np.zeros((n, n))
     mask = rng.random((n, n)) < 0.05
     S0[mask] = rng.uniform(-1, 1, size=int(mask.sum()))
-    out = decompose(L0 + S0, RpcaConfig())
+    out = decompose(L0 + S0, RpcaConfig(eta=conventional_eta(n, n)))
     err_l = np.linalg.norm(out.L - L0) / np.linalg.norm(L0)
     err_s = np.linalg.norm(out.S - S0) / np.linalg.norm(S0)
     ok = err_l <= 1e-5 and err_s <= 1e-5 and out.residual <= 1e-7 and out.iterations <= 60
@@ -139,8 +140,9 @@ def test_criterion_07_baseband_losslessness(fig2):
 
 def test_criterion_08_separation_quality(fig2):
     sc, _, DB = fig2
-    conv1 = separation_metrics(decompose_windowed(DB, 1, RpcaConfig()), sc)
-    conv5 = separation_metrics(decompose_windowed(DB, 5, RpcaConfig()), sc)
+    conv = RpcaConfig(eta=conventional_eta(*DB.shape))
+    conv1 = separation_metrics(decompose_windowed(DB, 1, conv), sc)
+    conv5 = separation_metrics(decompose_windowed(DB, 5, conv), sc)
     star = eta_bounds_baseband(
         ApertureParams.from_scenario(sc, [15.0, 0.0, 0.0])).eta_star
     opt1 = separation_metrics(decompose(DB, RpcaConfig(eta=star)), sc)

@@ -1,4 +1,6 @@
+import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from sarlrs.analysis import (NarrowbandViolated, analytic_l1,
                              separation_metrics, separation_metrics_from_matrices,
                              spectrum)
 from sarlrs.errors import InsufficientSweep
-from sarlrs.eta import ApertureParams
+from sarlrs.eta import ApertureParams, conventional_eta
 from sarlrs.rpca import RpcaConfig, decompose
 from sarlrs.simulate import synthesize_baseband_direct, synthesize_downramped
 
@@ -87,6 +89,29 @@ def test_only_rpca_calls_the_svd():
     src = Path(sarlrs.__file__).parent
     callers = sorted(f.name for f in src.glob("*.py") if "linalg.svd" in f.read_text())
     assert callers == ["rpca.py"]
+
+
+def _imports(path):
+    """Every module a source file imports, a relative import as sarlrs.<name>."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"sarlrs.{node.module or a.name}" for a in node.names)
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    # scipy is often installed, so a stray import of it would pass every other test
+    src = Path(sarlrs.__file__).parent
+    imports = {f.name: set(_imports(f)) for f in src.glob("*.py")}
+    allowed = sys.stdlib_module_names | {"numpy", "sarlrs"}
+    foreign = {name: sorted(m for m in mods if m.split(".")[0] not in allowed)
+               for name, mods in imports.items()}
+    assert foreign == {name: [] for name in imports}
+    # rpca takes eta as a number: it imports no eta model, and so no scenario
+    assert {m for m in imports["rpca.py"] if m.startswith("sarlrs")} == {"sarlrs.errors"}
 
 
 def test_spectrum_gaussian_decay():
@@ -239,7 +264,8 @@ def test_separation_metrics_of_a_real_split_use_down_ramped_references(monkeypat
     from sarlrs.simulate import fast_time_gate
     sc = make_scenario([stationary_target((-50.0, -4.0, 0.0)),
                         moving_target(15.0, (80.0, 10.0, 0.0))])
-    dec = decompose(synthesize_downramped(sc), RpcaConfig())
+    D = synthesize_downramped(sc)
+    dec = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     pinned = replace(sc, sampling=SamplingGrid(sc.sampling.delta_t, *fast_time_gate(sc)))
     expected = separation_metrics_from_matrices(
         dec.S, synthesize_downramped(pinned.moving_only()),

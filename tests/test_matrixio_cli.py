@@ -293,14 +293,27 @@ def test_cli_conventional_eta_is_the_full_grid_value(tmp_path):
 
 
 def test_cli_decompose_gotcha_end_to_end(tmp_path):
+    # the default gotcha run: `decompose` is a prefix of `pipeline`
     out = tmp_path / "run"
-    assert main(["decompose", "--regime", "gotcha", "--eta", "optimal",
+    assert main(["pipeline", "--regime", "gotcha", "--eta", "optimal",
                  "--out", str(out)]) == 0
     DB, L, S = (read_matrix(out / f"{name}.sarm")[0] for name in ("DB", "L", "S"))
     for M in (L, S):
         assert M.dtype == np.complex128 and M.shape == (237, 32000)
     assert np.linalg.norm(DB - L - S) <= 1e-7 * np.linalg.norm(DB)
-    assert json.loads((out / "rpca_report.json").read_text())["rank_L"] >= 1
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
+            for p in out.glob("*.json")}
+    summary, report = docs["summary.json"], docs["rpca_report.json"]
+    assert summary["rpca"] == report
+    assert set(summary["seconds"]) == {"simulate", "baseband", "decompose", "tail"}
+    assert 1 <= report["rank_L"] < 237
+    with open(out / "spectra.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [sum(r["matrix"] == name for r in rows) for name in ("D", "DB", "L", "S")] == [64] * 4
 
 
 def test_cli_rank_zero_split_writes_outputs_then_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from sarlrs import rpca
 from sarlrs.errors import ConfigError, SvdFailure
+from sarlrs.eta import conventional_eta
 from sarlrs.rpca import (MU_CAP_FACTOR, RHO, Decomposition, RpcaConfig,
                          decompose, decompose_windowed, singular_value_threshold,
                          singular_values, soft_threshold, spectral_norm)
@@ -18,7 +19,7 @@ def svd_threshold_reference(M, tau):
 def decompose_reference(D, config):
     """The inexact ALM loop over whole arrays, one full-size pass per line."""
     D = np.asarray(D)
-    eta = config.resolve_eta(D.shape)
+    eta = config.eta
     norm2 = spectral_norm(D)
     norm_f = np.linalg.norm(D)
     d_max = np.max(np.abs(D))
@@ -168,7 +169,7 @@ def test_svd_only_sees_the_square_r_factor(tall, monkeypatch):
     inputs = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **k: inputs.append(a.shape) or svd(a, **k))
-    out = decompose(D, RpcaConfig(tol=1e-7))
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-7))
     assert out.converged
     # one SVD for the final rank; the others are SVT steps below the guard
     assert len(inputs) >= 2
@@ -276,7 +277,7 @@ def test_sparse_only_fixed_point():
 def test_rank_one_goes_to_low_rank_part():
     rng = np.random.default_rng(4)
     D = np.outer(rng.standard_normal(50), rng.standard_normal(80))
-    out = decompose(D, RpcaConfig())
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     assert np.linalg.norm(out.S) <= 1e-4 * np.linalg.norm(D)
     assert np.linalg.norm(D - out.L) <= 1e-4 * np.linalg.norm(D)
     assert out.rank == 1
@@ -291,7 +292,7 @@ def test_exact_recovery_of_synthetic_split():
     mask = rng.random((n, n)) < 0.05
     S0[mask] = rng.uniform(-1, 1, size=int(mask.sum()))
     D = L0 + S0
-    out = decompose(D, RpcaConfig())
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     assert np.linalg.norm(out.L - L0) / np.linalg.norm(L0) <= 1e-5
     assert np.linalg.norm(out.S - S0) / np.linalg.norm(S0) <= 1e-5
     assert out.residual <= 1e-7
@@ -306,7 +307,7 @@ def test_complex_decompose_and_phase_preservation():
     S0 = np.zeros((n, n), dtype=complex)
     idx = rng.random((n, n)) < 0.03
     S0[idx] = np.exp(1j * rng.uniform(0, 2 * np.pi, int(idx.sum())))
-    out = decompose(L0 + S0, RpcaConfig())
+    out = decompose(L0 + S0, RpcaConfig(eta=conventional_eta(n, n)))
     assert np.linalg.norm(out.L - L0) / np.linalg.norm(L0) <= 1e-4
     assert np.linalg.norm(out.S - S0) / np.linalg.norm(S0) <= 1e-4
 
@@ -314,7 +315,7 @@ def test_complex_decompose_and_phase_preservation():
 def test_real_input_gives_real_output():
     rng = np.random.default_rng(6)
     D = rng.standard_normal((30, 30))
-    out = decompose(D, RpcaConfig())
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     assert not np.iscomplexobj(out.L)
     assert not np.iscomplexobj(out.S)
 
@@ -322,7 +323,7 @@ def test_real_input_gives_real_output():
 def test_constraint_residual_on_success():
     rng = np.random.default_rng(7)
     D = rng.standard_normal((40, 50))
-    out = decompose(D, RpcaConfig())
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     assert out.converged
     assert np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D) <= 1e-7
 
@@ -339,7 +340,7 @@ def test_scale_covariance():
 
 def test_zero_matrix_rejected():
     with pytest.raises(ConfigError):
-        decompose(np.zeros((4, 4)))
+        decompose(np.zeros((4, 4)), RpcaConfig(eta=0.5))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)],
@@ -350,7 +351,7 @@ def test_non_finite_matrix_rejected_before_any_spectrum(entry, monkeypatch):
     spectra = []
     monkeypatch.setattr(rpca, "spectral_norm", lambda M: spectra.append(M.shape))
     with pytest.raises(ConfigError):
-        decompose(D)
+        decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     assert spectra == []
 
 
@@ -367,7 +368,7 @@ def test_windowed_single_window_equals_plain():
 def test_windowed_per_row_blocks_satisfy_constraint():
     rng = np.random.default_rng(10)
     D = rng.standard_normal((12, 30))
-    out = decompose_windowed(D, 12, RpcaConfig())
+    out = decompose_windowed(D, 12, RpcaConfig(eta=conventional_eta(*D.shape)))
     residual = np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D)
     assert residual <= 1e-6
     assert out.residual == pytest.approx(residual, rel=1e-9, abs=0.0)
@@ -379,7 +380,7 @@ def test_windowed_residual_is_the_whole_matrix_residual():
     rng = np.random.default_rng(13)
     D = rng.standard_normal((40, 90))
     D[20:] *= 0.1
-    out = decompose_windowed(D, 2, RpcaConfig(max_iter=3))
+    out = decompose_windowed(D, 2, RpcaConfig(eta=conventional_eta(*D.shape), max_iter=3))
     residual = np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D)
     assert out.residual == pytest.approx(residual, rel=1e-9, abs=0.0)
 
@@ -388,32 +389,32 @@ def test_windowed_skips_an_all_zero_block():
     rng = np.random.default_rng(11)
     D = rng.standard_normal((12, 30))
     D[:6] = 0.0
-    out = decompose_windowed(D, 2, RpcaConfig())
+    config = RpcaConfig(eta=conventional_eta(*D.shape))
+    out = decompose_windowed(D, 2, config)
     assert not np.any(out.L[:6]) and not np.any(out.S[:6])
     assert out.converged and out.rank > 0
     assert np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D) <= 1e-6
-    zero = decompose_windowed(np.zeros_like(D), 2, RpcaConfig())
+    zero = decompose_windowed(np.zeros_like(D), 2, config)
     assert zero.residual == 0.0 and zero.rank == 0
 
 
-def test_unknown_eta_mode_rejected():
-    with pytest.raises(ConfigError):
-        RpcaConfig(eta="bogus")
-
-
 @pytest.mark.parametrize("setting", [
-    {"eta": np.nan}, {"eta": np.inf}, {"eta": 0.0}, {"eta": -1.0},
-    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"max_iter": 0},
-], ids=["eta-nan", "eta-inf", "eta-0", "eta-negative", "tol-nan", "tol-inf", "tol-0",
-        "max-iter-0"])
+    {"eta": np.nan}, {"eta": np.inf}, {"eta": 0.0}, {"eta": -1.0}, {"eta": None},
+    {"eta": "conventional"}, {"eta": "0.1"},
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": None},
+    {"max_iter": 0}, {"max_iter": None}, {"max_iter": 2.5},
+], ids=["eta-nan", "eta-inf", "eta-0", "eta-negative", "eta-none", "eta-conventional",
+        "eta-string", "tol-nan", "tol-inf", "tol-0", "tol-none", "max-iter-0",
+        "max-iter-none", "max-iter-float"])
 def test_settings_must_be_finite_and_positive(setting):
     with pytest.raises(ConfigError):
-        RpcaConfig(**setting)
+        RpcaConfig(**{"eta": 0.1, **setting})
 
 
-def test_windowed_bad_window_count():
+@pytest.mark.parametrize("windows", [0, 2.0])
+def test_windowed_bad_window_count(windows):
     with pytest.raises(ConfigError):
-        decompose_windowed(np.ones((4, 4)), 0)
+        decompose_windowed(np.ones((4, 4)), windows, RpcaConfig(eta=0.5))
 
 
 _WIDE = low_rank_plus_sparse(30, 3001, 3, True, 0.05, seed=20)
@@ -432,7 +433,7 @@ CHUNKED_INPUTS = {
 def test_chunked_pass_matches_whole_array_loop(name):
     D = CHUNKED_INPUTS[name]
     assert D.size > 10 * rpca.CHUNK
-    config = RpcaConfig(tol=1e-7)
+    config = RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-7)
     ref = decompose_reference(D, config)
     out = decompose(D, config)
     # the same elementwise operations on every entry: only the residual's
@@ -453,7 +454,7 @@ def test_decompose_peak_memory():
     D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
     tracemalloc.start()
     try:
-        out = decompose(D, RpcaConfig(tol=1e-4))
+        out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,7 +464,7 @@ def test_decompose_peak_memory():
 
 def test_trace_has_one_entry_per_iteration():
     D = low_rank_plus_sparse(20, 300, 2, True, 0.05, seed=24)
-    out = decompose(D, RpcaConfig(tol=1e-7))
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-7))
     assert out.converged and len(out.trace) == out.iterations
     assert out.trace[-1]["residual"] == out.residual
     assert out.sparse_count == out.trace[-1]["nnz"] == np.count_nonzero(out.S)
@@ -474,7 +475,7 @@ def test_trace_has_one_entry_per_iteration():
 
 def test_trace_mu_grows_by_rho_until_the_cap():
     D = low_rank_plus_sparse(20, 300, 2, True, 0.05, seed=24)
-    out = decompose(D, RpcaConfig(tol=1e-300, max_iter=60))
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-300, max_iter=60))
     assert not out.converged and len(out.trace) == 60
     mu = [entry["mu"] for entry in out.trace]
     cap = MU_CAP_FACTOR * mu[0]
@@ -485,8 +486,9 @@ def test_trace_mu_grows_by_rho_until_the_cap():
 def test_windowed_trace_concatenates_blocks():
     D = low_rank_plus_sparse(12, 400, 2, False, 0.05, seed=25)
     D[4:8] = 0.0  # the skipped middle block adds no entries
-    out = decompose_windowed(D, 3, RpcaConfig())
-    parts = [decompose(D[a:b], RpcaConfig()) for a, b in ((0, 4), (8, 12))]
+    config = RpcaConfig(eta=conventional_eta(*D.shape))
+    out = decompose_windowed(D, 3, config)
+    parts = [decompose(D[a:b], config) for a, b in ((0, 4), (8, 12))]
     assert [e["window"] for e in out.trace] == \
         [0] * parts[0].iterations + [2] * parts[1].iterations
     strip = [{k: v for k, v in e.items() if k in ("residual", "mu", "nnz")}
