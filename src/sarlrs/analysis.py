@@ -173,17 +173,26 @@ def _support_mask(M, shape) -> np.ndarray:
     return mag > MASK_REL * np.max(mag)
 
 
+def _capture(S, moving_reference) -> float:
+    """Energy of the moving reference found in S, on the reference's support."""
+    mov = np.asarray(moving_reference)
+    mov_energy = float(np.linalg.norm(mov) ** 2)
+    mask = _support_mask(mov, S.shape)
+    return float(np.linalg.norm(S[mask]) ** 2) / mov_energy if mov_energy > 0 else 0.0
+
+
+def _leakage(S, stationary_reference) -> float:
+    """Fraction of S's norm on the stationary reference's support."""
+    mask = _support_mask(np.asarray(stationary_reference), S.shape)
+    s_norm = float(np.linalg.norm(S))
+    return float(np.linalg.norm(S[mask])) / s_norm if s_norm > 0 else 0.0
+
+
 def separation_metrics_from_matrices(S, moving_reference, stationary_reference,
                                      residual: float = 0.0) -> SeparationMetrics:
     S = np.asarray(S)
-    mov = np.asarray(moving_reference)
-    stat = np.asarray(stationary_reference)
-    mov_mask, stat_mask = _support_mask(mov, S.shape), _support_mask(stat, S.shape)
-    mov_energy = float(np.linalg.norm(mov) ** 2)
-    s_norm = float(np.linalg.norm(S))
-    capture = float(np.linalg.norm(S[mov_mask]) ** 2) / mov_energy if mov_energy > 0 else 0.0
-    leakage = float(np.linalg.norm(S[stat_mask])) / s_norm if s_norm > 0 else 0.0
-    return SeparationMetrics(capture=capture, leakage=leakage, residual=residual)
+    return SeparationMetrics(capture=_capture(S, moving_reference),
+                             leakage=_leakage(S, stationary_reference), residual=residual)
 
 
 def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
@@ -191,15 +200,15 @@ def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
 
     References are synthesized from the scenario's moving-only and
     stationary-only target subsets, in the field matching S (complex:
-    baseband model; real: down-ramped model).
+    baseband model; real: down-ramped model).  Each is scored and freed
+    before the next is synthesized, so one reference is held at a time.
     """
-    synth = (synthesize_baseband_direct if np.iscomplexobj(decomposition.S)
-             else synthesize_downramped)
+    S = np.asarray(decomposition.S)
+    synth = synthesize_baseband_direct if np.iscomplexobj(S) else synthesize_downramped
     # pin the full scene's gate so subset matrices share the column grid
     t0, t1 = fast_time_gate(scenario)
     grid = SamplingGrid(delta_t=scenario.sampling.delta_t, gate_start=t0, gate_end=t1)
     pinned = replace(scenario, sampling=grid)
-    mov = synth(pinned.moving_only())
-    stat = synth(pinned.stationary_only())
-    return separation_metrics_from_matrices(
-        decomposition.S, mov, stat, residual=decomposition.residual)
+    return SeparationMetrics(capture=_capture(S, synth(pinned.moving_only())),
+                             leakage=_leakage(S, synth(pinned.stationary_only())),
+                             residual=decomposition.residual)

@@ -238,11 +238,12 @@ def _run(args, last: str) -> int:
         # DB's, L's and S's spectra are those of the solve's short-grid matrices
         # times sqrt(m / K).  They are taken before imaging so that the short-grid
         # matrices can be dropped: held through `migrate`, they raised the scaled
-        # pipeline's peak RSS by about 2 MB.
+        # pipeline's peak RSS by about 2 MB.  The pipeline never images D, so D
+        # goes too.
         scale = math.sqrt(DB.shape[1] / report["solve_columns"])
         spectra = {"D": rpca.singular_values(D),
                    **{name: scale * rpca.singular_values(M) for name, M in short.items()}}
-        del short
+        del short, D, matrices["D"]
         _write_csv(out / "spectra.csv", [
             {"matrix": name, "k": k, "sigma": float(s)}
             for name, sig in spectra.items()

@@ -16,23 +16,34 @@ carry an absolute error of about eps * sigma_max^2 and singular values below
 before it takes any spectrum: for thresholds below GRAM_MIN_TAU * ||A||_F it
 takes the exact R-factor route instead of eigh(G).  R from the QR of the tall
 view A^T has R^H R = A A^H, and the n x n SVD of R gives A's singular values
-and left singular vectors as accurately as an SVD of A.  `singular_values`,
-and so the rank that `decompose` reports, read the same R.
+and left singular vectors as accurately as an SVD of A.  `singular_values`
+reads the same R.  SVT returns L's singular values, sigma_k - tau for the
+kept k, with L, and the rank that `decompose` reports counts them, so no
+spectrum of L is taken after the solve.
 
-`_gram` forms G with no conjugated copy of A.  A complex A = X + iY is
-copied into the real B = [X; Y], whose one syrk H = B B^T takes half the
-multiplies of the complex product A @ A.conj().T, and
-G = (H11 + H22) + i (H21 - H12) comes out exactly Hermitian.  On the seed-0
-237 x 31674 gotcha matrix it agrees with A @ A.conj().T to 1.4e-15 of its
-largest entry.
+SVT reads its input and writes L one BLOCK-column block of A at a time.
+`_gram` sums G over the blocks with no conjugated or real copy of A: a
+complex block A_c = X_c + iY_c is copied into the real B_c = [X_c; Y_c],
+whose one syrk B_c B_c^T takes half the multiplies of the complex product,
+and the sum H gives G = (H11 + H22) + i (H21 - H12), exactly Hermitian.  On
+the seed-0 237 x 32000 gotcha matrix it agrees with A @ A.conj().T to
+8.6e-16 of its largest entry.  The product takes C = U_k^H A_c and writes
+(U_k d) C into the same block of L, so L may overwrite the input.  BLOCK
+was set by timing SVT on that matrix at thresholds keeping 10, 50 and 200
+values (2 vCPU, medians of six): 4096 columns took 0.23, 0.29 and 0.49 s,
+as fast as one product over the whole matrix (0.23, 0.29 and 0.52 s), with
+19 MB of scratch against 129-228 MB; 1024 and 2048 columns were 3-14 %
+slower, and 8192 was no faster with 35 MB.  Every CLI solve (135 or 956
+columns) is one block.
 
-After each SVT step, everything else an iteration does is elementwise, and
-`decompose` does it in one pass over CHUNK-entry slices of the flat,
-C-contiguous work arrays: W = Y/mu + D, S = soft_threshold(W - L, eta/mu),
-R = D - L - S with its squared norm summed, Y += mu R, and the next SVT
-input (Y/mu' + D) - S.  D, Y, S, the SVT input and L are the full-size
-arrays; W and R exist only a slice at a time, and the last L is freed
-before SVT allocates the next.  A complex Y is multiplied by 1/mu
+Around each SVT step, everything an iteration does is elementwise, over
+CHUNK-entry slices of the flat, C-contiguous work arrays.  One pass writes
+the SVT input T = (Y/mu + D) - S, and SVT writes L over it.  The next pass
+takes W = Y/mu + D, S = soft_threshold(W - L, eta/mu), R = D - L - S with
+its squared norm summed, and Y += mu R.  So D, Y, S and the one buffer
+that holds T and then L are the only full-size arrays; W and R exist only
+a slice at a time, and the returned L is SVT's output, since no T pass
+follows the last iteration.  A complex Y is multiplied by 1/mu
 (`_divide`): numpy divides complex by real as (a + 0 b) * (1/mu), so the
 values are those of the division and only the sign of a zero can differ.
 Each entry otherwise goes through the same numpy operations as in a loop
@@ -65,6 +76,7 @@ MU_CAP_FACTOR = 1e7          # mu_k capped at MU_CAP_FACTOR * mu_0
 # the Gram route only runs where that bound was measured.
 GRAM_MIN_TAU = 1e-5
 CHUNK = 8192                 # entries per slice of decompose's elementwise pass
+BLOCK = 4096                 # columns per block of SVT's Gram sum and product
 
 
 @dataclass(frozen=True)
@@ -89,7 +101,7 @@ class Decomposition:
     S: np.ndarray
     iterations: int
     residual: float          # final ||D - L - S||_F / ||D||_F
-    rank: int
+    rank: int                # kept values of the last SVT above 1e-9 times the largest
     sparse_count: int        # exact nonzeros of S: the last iteration's trace nnz
     converged: bool
     trace: list = field(default_factory=list)  # one dict per iteration
@@ -122,22 +134,32 @@ def _short_side(M: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """G = A A^H, exactly Hermitian, with no conjugated copy of A.
+    """G = A A^H, exactly Hermitian, summed over BLOCK-column blocks with no copy of A.
 
-    A real A gives A A^T, one syrk.  A complex A = X + iY is copied into the
-    real B = [X; Y] (2n x m, the bytes of A), and the one syrk H = B B^T,
-    half the multiplies of a complex GEMM, gives
-    G = (H11 + H22) + i (H21 - H12).  syrk fills H symmetric, so H12 = H21^T
-    and G's diagonal is real.  B keeps A's memory order, so the transposed
-    view of a tall C-ordered matrix is copied column by column.
+    A real A gives H = A A^T, one syrk per block.  A complex A = X + iY is
+    copied a block at a time into the real B_c = [X_c; Y_c] (2n x BLOCK, the
+    bytes of the block), and H = sum_c B_c B_c^T, half the multiplies of a
+    complex GEMM, gives G = (H11 + H22) + i (H21 - H12).  Each syrk fills
+    its term symmetric, so H12 = H21^T and G's diagonal is real.  B_c keeps
+    A's memory order, so the transposed view of a tall C-ordered matrix is
+    copied column by column.
     """
-    if not np.iscomplexobj(A):
-        return A @ A.T
-    n = A.shape[0]
-    B = np.empty((2 * n, A.shape[1]), order="F" if A.flags.f_contiguous else "C")
-    B[:n] = A.real
-    B[n:] = A.imag
-    H = B @ B.T
+    n, m = A.shape
+    cplx = np.iscomplexobj(A)
+    if cplx:
+        B = np.empty((2 * n, min(m, BLOCK)), order="F" if A.flags.f_contiguous else "C")
+    H = np.zeros((2 * n if cplx else n,) * 2, A.real.dtype)
+    for c in range(0, m, BLOCK):
+        Ac = A[:, c:c + BLOCK]
+        if cplx:
+            Bc = B[:, :Ac.shape[1]]
+            Bc[:n] = Ac.real
+            Bc[n:] = Ac.imag
+        else:
+            Bc = Ac
+        H += Bc @ Bc.T
+    if not cplx:
+        return H
     G = np.empty((n, n), A.dtype)
     np.add(H[:n, :n], H[n:, n:], out=G.real)
     np.subtract(H[n:, :n], H[:n, n:], out=G.imag)
@@ -167,14 +189,18 @@ def _r_factor_svd(A: np.ndarray, compute_uv: bool = True):
         raise SvdFailure(str(exc)) from exc
 
 
-def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
-    """U diag(max(sigma - tau, 0)) V^H, from the left singular vectors of M's short side.
+def singular_value_threshold(M: np.ndarray, tau: float, out=None):
+    """L = U diag(max(sigma - tau, 0)) V^H and L's singular values, from M's short side.
 
     With A the short-side orientation of M, the kept part is
     U_k diag(1 - tau / sigma_k) U_k^H A.  U and sigma come from eigh of the
     small Gram matrix G = A A^H, or, for thresholds below GRAM_MIN_TAU *
     ||A||_F (read off trace(G)), from the exact R factor (see GRAM_MIN_TAU).
-    Either way one spectrum is taken.
+    Either way one spectrum is taken.  The product is taken one BLOCK-column
+    block of A at a time, C = U_k^H A_c and then (U_k d) C written into the
+    same block of L, so `out` may be M itself.  L is written to `out` when
+    given, as for a numpy ufunc, and to a new C-ordered array otherwise.
+    Returns (L, s), s = sigma_k - tau for the kept k, descending.
     """
     A, tall = _short_side(M)
     G = _gram(A)
@@ -185,8 +211,14 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
         sig, U = _gram_spectrum(G)
     keep = sig > tau
     Uk = U[:, keep]
-    out = (Uk * (1.0 - tau / sig[keep])) @ (Uk.conj().T @ A)
-    return out.T if tall else out
+    Ukd = Uk * (1.0 - tau / sig[keep])
+    Ukh = Uk.conj().T
+    if out is None:
+        out = np.empty(M.shape, np.result_type(Ukd, A))
+    L = out.T if tall else out
+    for c in range(0, A.shape[1], BLOCK):
+        np.matmul(Ukd, Ukh @ A[:, c:c + BLOCK], out=L[:, c:c + BLOCK])
+    return out, np.sort(sig[keep] - tau)[::-1]
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
@@ -239,9 +271,8 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
     # dual ascent seed: Y_0 = D / max(||D||_2, ||D||_inf / eta)
     Y = D / max(norm2, d_max / eta)
     S = np.zeros_like(Y)
-    T = _divide(Y, mu)           # SVT input (Y/mu + D) - S; S_0 = 0
-    T += D
-    w = np.empty(CHUNK, Y.dtype)  # W = Y/mu + D, then mu R, then the next W
+    T = np.empty_like(Y)          # the SVT input, then SVT's output L
+    w = np.empty(CHUNK, Y.dtype)  # W = Y/mu + D, then mu R
     r = np.empty(CHUNK, Y.dtype)  # W - L, then R = D - L - S
     converged = False
     residual = np.inf
@@ -249,13 +280,16 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
     it = 0
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
-        L = None                     # free the last L before SVT allocates the next
-        L = singular_value_threshold(T, 1.0 / mu)
+        for d, y, s, t in _chunks(D, Y, S, T):             # T = (Y/mu + D) - S
+            _divide(y, mu, out=t)
+            t += d
+            t -= s
+        svt_start = time.perf_counter()
+        L, sv = singular_value_threshold(T, 1.0 / mu, out=T)
+        rank = int(np.count_nonzero(sv > 1e-9 * sv.max(initial=0.0)))
         svt_end = time.perf_counter()
-        mu_next = min(RHO * mu, mu_cap)
         sq_norm, nnz = 0.0, 0
-        # SVT returns a tall L as an F-ordered transpose: read it through a C copy
-        for d, y, l, s, t in _chunks(D, Y, np.ascontiguousarray(L), S, T):
+        for d, y, l, s in _chunks(D, Y, L, S):
             n = d.size
             wc, rc = w[:n], r[:n]
             _divide(y, mu, out=wc)                         # W = Y/mu + D
@@ -266,23 +300,17 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
             rc -= s
             sq_norm += np.vdot(rc, rc).real
             y += np.multiply(rc, mu, out=wc)
-            _divide(y, mu_next, out=wc)                    # T = (Y/mu' + D) - S
-            wc += d
-            np.subtract(wc, s, out=t)
-        del d, y, l, s, t            # slice views would keep L, Y and T alive
         residual = np.sqrt(sq_norm) / norm_f
-        trace.append({"residual": float(residual), "mu": mu, "nnz": int(nnz),
-                      "svt_s": svt_end - start, "pass_s": time.perf_counter() - svt_end})
+        trace.append({"residual": float(residual), "mu": mu, "nnz": int(nnz), "rank": rank,
+                      "svt_s": svt_end - svt_start,
+                      "pass_s": svt_start - start + time.perf_counter() - svt_end})
         # require two sweeps: a degenerate first iterate can zero the residual
         # before the thresholded split has settled
         if residual <= config.tol and it >= 2:
             converged = True
             break
-        mu = mu_next
+        mu = min(RHO * mu, mu_cap)
 
-    del Y, T                         # the QR in singular_values copies L twice
-    sig = singular_values(L)
-    rank = int(np.sum(sig > sig[0] * 1e-9))
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,
         sparse_count=int(nnz), converged=converged, trace=trace,

@@ -1,6 +1,8 @@
 import ast
 import math
 import sys
+import tracemalloc
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +258,21 @@ def test_separation_metrics_perfect_split():
     assert m.leakage <= 0.05
     z = separation_metrics_from_matrices(np.zeros_like(mov), mov, stat)
     assert z.capture == 0.0
+
+
+def test_separation_metrics_hold_one_reference_at_a_time(scaled_scenario):
+    # each reference is synthesized, scored and freed before the next: one
+    # reference, its modulus and a mask at a time; both references alive at
+    # once push this past 2
+    DB = synthesize_baseband_direct(scaled_scenario)
+    split = SimpleNamespace(S=DB, residual=0.0)
+    tracemalloc.start()
+    try:
+        separation_metrics(split, scaled_scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * DB.nbytes
 
 
 def test_separation_metrics_of_a_real_split_use_down_ramped_references(monkeypatch):

@@ -425,7 +425,7 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
     assert set(build) == {"numpy", "blas"} and build["numpy"] == np.__version__
     trace = summary["rpca"]["trace"]
     assert len(trace) == summary["rpca"]["iterations"]
-    assert set(trace[0]) == {"residual", "mu", "nnz", "svt_s", "pass_s", "window"}
+    assert set(trace[0]) == {"residual", "mu", "nnz", "rank", "svt_s", "pass_s", "window"}
     assert trace[-1]["residual"] == pytest.approx(summary["rpca"]["residual"], rel=1e-9)
     assert set(summary["seconds"]) == {"simulate", "baseband", "decompose", "tail"}
     assert all(seconds >= 0 for seconds in summary["seconds"].values())

@@ -33,7 +33,7 @@ def decompose_reference(D, config):
     for it in range(1, config.max_iter + 1):
         np.divide(Y, mu, out=W)
         W += D
-        L = singular_value_threshold(np.subtract(W, S, out=T), 1.0 / mu)
+        L = singular_value_threshold(np.subtract(W, S, out=T), 1.0 / mu)[0]
         S = soft_threshold(np.subtract(W, L, out=T), eta / mu)
         np.subtract(D, L, out=T)
         T -= S
@@ -119,21 +119,21 @@ def test_soft_threshold_integer_input_is_shrunk_as_float():
 def test_svt_identity_at_zero_threshold():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((8, 5))
-    assert np.allclose(singular_value_threshold(M, 0.0), M, atol=1e-12)
+    assert np.allclose(singular_value_threshold(M, 0.0)[0], M, atol=1e-12)
 
 
 def test_svt_full_shrinkage_gives_zero():
     rng = np.random.default_rng(1)
     M = rng.standard_normal((6, 6))
     smax = np.linalg.svd(M, compute_uv=False)[0]
-    assert not np.any(singular_value_threshold(M, smax + 1.0))
+    assert not np.any(singular_value_threshold(M, smax + 1.0)[0])
 
 
 def test_svt_rank_one_closed_form():
     u = np.array([3.0, 4.0]) / 5.0
     v = np.array([1.0, 0.0, 0.0])
     M = 2.0 * np.outer(u, v)
-    out = singular_value_threshold(M, 0.5)
+    out = singular_value_threshold(M, 0.5)[0]
     assert np.allclose(out, 1.5 * np.outer(u, v), atol=1e-12)
 
 
@@ -152,12 +152,40 @@ def test_svt_matches_svd_reference(name, where, monkeypatch):
     monkeypatch.setattr(rpca, "_gram_spectrum",
                         lambda G: grams.append(G.shape) or gram_spectrum(G))
     ref = svd_threshold_reference(M, tau)
-    out = singular_value_threshold(M, tau)
+    out = singular_value_threshold(M, tau)[0]
     assert out.shape == M.shape and out.dtype == M.dtype
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     # one spectrum per call: the route is chosen before either is taken
     assert len(fallbacks) == (0 if where == "between" else 1)
     assert len(grams) == (1 if where == "between" else 0)
+
+
+SVT_OUT_INPUTS = {
+    "wide-real": SVT_MATRICES["wide-real"],
+    "tall-real": SVT_MATRICES["tall-real"],
+    "wide-complex": SVT_MATRICES["wide-complex"],
+    "tall-complex": SVT_MATRICES["wide-complex"].T.copy(),
+    "wider-than-block": low_rank_plus_sparse(12, rpca.BLOCK + 5, 4, True, 0.05, seed=15),
+    "taller-than-block": low_rank_plus_sparse(rpca.BLOCK + 5, 12, 4, True, 0.05, seed=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVT_OUT_INPUTS))
+@pytest.mark.parametrize("where", ["between", "guard"])
+def test_svt_writes_over_its_input(name, where):
+    M = SVT_OUT_INPUTS[name].copy()
+    sig = np.linalg.svd(M, compute_uv=False)
+    tau = 0.5 * (sig[2] + sig[3]) if where == "between" else 1e-9 * sig[0]
+    expected, expected_s = singular_value_threshold(M.copy(), tau)
+    L, s = singular_value_threshold(M, tau, out=M)
+    assert L is M
+    assert np.array_equal(L, expected) and np.array_equal(s, expected_s)
+    # s holds L's singular values, descending: those above the cut match the SVD's
+    ref = np.linalg.svd(L, compute_uv=False)
+    above = s[s > 1e-9 * s[0]]
+    assert above.size == np.count_nonzero(ref > 1e-9 * ref[0])
+    assert np.all(np.diff(s) <= 0)
+    assert np.max(np.abs(above - ref[:above.size])) <= 1e-12 * sig[0]
 
 
 @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
@@ -171,7 +199,7 @@ def test_svd_only_sees_the_square_r_factor(tall, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, **k: inputs.append(a.shape) or svd(a, **k))
     out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-7))
     assert out.converged
-    # one SVD for the final rank; the others are SVT steps below the guard
+    # every SVD is an SVT step below the guard; the rank comes from SVT
     assert len(inputs) >= 2
     assert set(inputs) == {(30, 30)}
 
@@ -206,6 +234,8 @@ def test_gram_route_raises_svd_failure(monkeypatch):
 
 _g = np.random.default_rng(13)
 _GRAM_WIDE = _g.standard_normal((12, 300)) + 1j * _g.standard_normal((12, 300))
+_GRAM_BLOCKS = (_g.standard_normal((12, 2 * rpca.BLOCK + 7))
+                + 1j * _g.standard_normal((12, 2 * rpca.BLOCK + 7)))
 GRAM_INPUTS = {
     "real": _g.standard_normal((12, 300)),
     "complex-wide": _GRAM_WIDE,
@@ -214,6 +244,9 @@ GRAM_INPUTS = {
     "real-tall": rpca._short_side(_g.standard_normal((300, 12)))[0],
     "fortran": np.asfortranarray(_GRAM_WIDE),
     "zero": np.zeros((5, 9), complex),
+    # three column blocks, the last 7 columns wide
+    "complex-blocks": _GRAM_BLOCKS,
+    "fortran-blocks": np.asfortranarray(_GRAM_BLOCKS),
 }
 
 
@@ -260,7 +293,8 @@ def test_rank_counts_like_svd_just_above_cut(monkeypatch):
     # 1e-9 cut, and its 17 exact zeros would read as ~1e-8 sigma_0 from the
     # eigenvalues of L L^H.
     L = with_spectrum([1.0, 0.5, 2e-9], 20, 200, complex_=True, seed=5)
-    monkeypatch.setattr(rpca, "singular_value_threshold", lambda M, tau: L.copy())
+    monkeypatch.setattr(rpca, "singular_value_threshold",
+                        lambda M, tau, out=None: (L.copy(), np.linalg.svd(L, compute_uv=False)))
     out = decompose(L, RpcaConfig(eta=0.1, max_iter=2))
     sig = np.linalg.svd(out.L, compute_uv=False)
     assert out.rank == int(np.sum(sig > 1e-9 * sig[0])) == 3
@@ -444,13 +478,16 @@ def test_chunked_pass_matches_whole_array_loop(name):
     assert (out.iterations, out.rank, out.sparse_count, out.converged) == \
         (ref.iterations, ref.rank, ref.sparse_count, ref.converged)
     assert out.residual == pytest.approx(ref.residual, rel=1e-12, abs=0.0)
+    sig = np.linalg.svd(out.L, compute_uv=False)
+    assert out.rank == np.count_nonzero(sig > 1e-9 * sig[0])
 
 
 def test_decompose_peak_memory():
-    # Y, S, the SVT input T and L are the only full-size arrays alive at
-    # once: the last L is freed before SVT allocates the next, and Y and T
-    # before the final rank's QR copies L; a stored W = Y/mu + D, full-size
-    # shrinkage temporaries or a kept dead array push this past 5
+    # Y, S and one buffer shared by the SVT input T and its output L are the
+    # only full-size arrays decompose allocates: SVT writes L over T block by
+    # block, and the rank comes from SVT's kept spectrum, not a QR of L; a
+    # second L, a full-size real copy of T for the Gram matrix, a stored
+    # W = Y/mu + D or full-size shrinkage temporaries push this past 3.6
     D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
     tracemalloc.start()
     try:
@@ -459,7 +496,7 @@ def test_decompose_peak_memory():
     finally:
         tracemalloc.stop()
     assert out.converged
-    assert peak <= 4.5 * D.nbytes
+    assert peak <= 3.6 * D.nbytes
 
 
 def test_trace_has_one_entry_per_iteration():
@@ -468,9 +505,19 @@ def test_trace_has_one_entry_per_iteration():
     assert out.converged and len(out.trace) == out.iterations
     assert out.trace[-1]["residual"] == out.residual
     assert out.sparse_count == out.trace[-1]["nnz"] == np.count_nonzero(out.S)
+    assert out.trace[-1]["rank"] == out.rank
     for entry in out.trace:
-        assert set(entry) == {"residual", "mu", "nnz", "svt_s", "pass_s"}
+        assert set(entry) == {"residual", "mu", "nnz", "rank", "svt_s", "pass_s"}
         assert entry["svt_s"] >= 0 and entry["pass_s"] >= 0
+
+
+def test_residual_at_the_iteration_cap_is_that_of_the_returned_split():
+    # the last iteration takes no next SVT input, so L is SVT's output
+    D = low_rank_plus_sparse(20, 300, 2, True, 0.05, seed=27)
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-300, max_iter=5))
+    assert not out.converged and out.iterations == 5
+    residual = np.linalg.norm(D - out.L - out.S) / np.linalg.norm(D)
+    assert out.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
 
 
 def test_trace_mu_grows_by_rho_until_the_cap():
