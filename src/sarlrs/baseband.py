@@ -8,16 +8,18 @@ exp(1j w0 t): a brick-wall low-pass of half-width 6B around baseband.  The
 factor of 2 restores unit peak magnitude after the image at +w0 is rejected.
 Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
 
-`passband_bins` is the one definition of the band.  `to_solve_grid` and
-`from_solve_grid` read the same bins to move D_B exactly between the gate's
-m samples and its critically sampled grid of K samples.
+`passband_bins` is the one definition of the band, and `_band` the one
+extraction of it from D.  `to_baseband` puts the band on the gate's m
+samples; `to_solve_grid` puts it on the critically sampled grid of K
+samples, and `from_solve_grid` moves that grid back onto the gate's.
+Only the gate side carries the mixer and its t0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CarrierAliased, ConfigError
+from .errors import CarrierAliased, ConfigError, PhysicsError
 from .scenario import Pulse
 
 # Passband half-width in units of B.  The Gaussian envelope's spectrum is
@@ -36,47 +38,60 @@ def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) ->
     phase must use the absolute fast-time axis for the reconstruction
     identity to hold.
     """
-    D = np.asarray(D)
-    if D.ndim != 2 or D.shape[1] < 8:
-        raise ConfigError("matrix must be 2-D with at least 8 columns")
-    w0 = pulse.carrier_angular_frequency
-    if w0 * delta_t >= np.pi:
-        raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
-    m = D.shape[1]
-    k = passband_bins(m, pulse, delta_t)
-    # a real row's bin -j is the conjugate of its rfft bin j
-    half = np.fft.rfft(D, axis=1, norm="forward")[:, np.abs(k)]
-    return _to_gate(PASSBAND_GAIN * np.where(k < 0, half.conj(), half), k, m, pulse, delta_t, t0)
+    band, bins = _band(D, pulse, delta_t)
+    return _to_gate(band, bins, np.shape(D)[1], pulse, delta_t, t0)
 
 
 def passband_bins(m: int, pulse: Pulse, delta_t: float) -> np.ndarray:
     """The band `to_baseband` keeps: the consecutive signed m-point DFT indices k, at
     angular frequency 2 pi k / (m dt), within PASSBAND_OVER_B * B of -w0.  Negative k
     index an FFT axis from its end.  Their count K is the solve grid's column count.
+    Raises `PhysicsError` when no bin lies in the band.
     """
     k = np.arange(-(m // 2), (m + 1) // 2)
     w = 2.0 * np.pi * k / (m * delta_t)
-    return k[np.abs(w + pulse.carrier_angular_frequency)
-             <= PASSBAND_OVER_B * pulse.bandwidth_parameter]
+    k = k[np.abs(w + pulse.carrier_angular_frequency)
+          <= PASSBAND_OVER_B * pulse.bandwidth_parameter]
+    if k.size == 0:
+        raise PhysicsError(f"no {m}-point DFT bin lies within {PASSBAND_OVER_B:g}B of "
+                           "the carrier: the gate is too short for the pulse's band")
+    return k
 
 
-def to_solve_grid(DB: np.ndarray, pulse: Pulse, delta_t: float, t0: float) -> np.ndarray:
-    """D_B's rows on their critically sampled grid: K samples over the gate's span.
+def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The real D's m-point DFT values (norm="forward") on `passband_bins`, with gain
+    PASSBAND_GAIN, and those bins: the passband both grids are built from."""
+    D = np.asarray(D)
+    if D.ndim != 2 or D.shape[1] < 8:
+        raise ConfigError("matrix must be 2-D with at least 8 columns")
+    w0 = pulse.carrier_angular_frequency
+    if w0 * delta_t >= np.pi:
+        raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
+    k = passband_bins(D.shape[1], pulse, delta_t)
+    # a real row's bin -j is the conjugate of its rfft bin j
+    half = np.fft.rfft(D, axis=1, norm="forward")[:, np.abs(k)]
+    return PASSBAND_GAIN * np.where(k < 0, half.conj(), half), k
 
-    Demixed by exp(-1j w0 t), with the t0 given to `to_baseband`, a row holds
-    only the K bins of `passband_bins`.  Bin k goes to bin k mod K of a K-point
-    inverse FFT, which samples the demixed row every m / K columns.  The map is
-    exact, linear per row, and scales every singular value by sqrt(K / m).  The
-    grid has no mixer: unit column phases change no singular value or modulus.
+
+def to_solve_grid(D: np.ndarray, pulse: Pulse, delta_t: float) -> np.ndarray:
+    """`to_baseband(D)`'s rows on their critically sampled grid: K samples over the gate's span.
+
+    The value on bin k of `_band` goes to bin k mod K of a K-point inverse
+    FFT, which samples the row of D_B, demixed by exp(-1j w0 t), every m / K
+    columns.  The map is exact, linear per row, and scales every singular
+    value by sqrt(K / m).  The grid has no mixer: unit column phases change
+    no singular value or modulus.
     """
-    bins = passband_bins(DB.shape[1], pulse, delta_t)
-    spec = DB * _mixer(DB.shape[1], -pulse.carrier_angular_frequency, delta_t, t0)
-    np.fft.fft(spec, axis=1, norm="forward", out=spec)
-    return np.fft.ifft(np.roll(spec[:, bins], bins[0], axis=1), axis=1, norm="forward")
+    band, bins = _band(D, pulse, delta_t)
+    return np.fft.ifft(np.roll(band, bins[0], axis=1), axis=1, norm="forward")
 
 
 def from_solve_grid(M: np.ndarray, pulse: Pulse, delta_t: float, m: int, t0: float) -> np.ndarray:
-    """The inverse of `to_solve_grid`: K-sample rows back onto the gate's m samples."""
+    """K-sample rows back onto the gate's m samples, mixed up with t0 as `to_baseband` is.
+
+    `from_solve_grid(to_solve_grid(D), ..., m, t0)` is `to_baseband(D, ..., t0)`
+    to rounding, not D: the grid holds only the band.
+    """
     bins = passband_bins(m, pulse, delta_t)
     band = np.roll(np.fft.fft(M, axis=1, norm="forward"), -bins[0], axis=1)
     return _to_gate(band, bins, m, pulse, delta_t, t0)

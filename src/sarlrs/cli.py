@@ -6,11 +6,12 @@ of `pipeline`.  `image` stops at the stage that makes its --source (D simulate,
 DB baseband, L and S decompose) and images that matrix.  `eta` and `analyze`
 take their own short paths.
 
-RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` moves DB
-exactly onto as many columns as `to_baseband` keeps DFT bins, and
-`baseband.from_solve_grid` moves L and S back onto the gate's columns, so the
-written matrices keep DB's shape.  `pipeline` writes the DB, L and S rows of
-spectra.csv from the short-grid matrices the solve already holds.
+RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` reads D
+through the same band extraction as `baseband.to_baseband` and puts DB onto as
+many columns as that band has DFT bins, and `baseband.from_solve_grid` moves L
+and S back onto the gate's columns, so the written matrices keep DB's shape.
+`pipeline` writes the DB, L and S rows of spectra.csv from the short-grid
+matrices the solve already holds.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
@@ -100,7 +101,8 @@ def _solve_config(sc: Scenario, m: int, eta_value: float) -> rpca.RpcaConfig:
     singular values by sqrt(m / K), and an l1 norm of a sparse trace by
     about m / K, so the full-grid eta becomes eta * sqrt(m / K) on the short
     grid.  Both m and K follow from the scene, so a value that overflows
-    there is rejected before any stage writes.
+    there, or a band with no bin (`PhysicsError`), is rejected before any
+    stage writes.
     """
     K = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t).size
     return rpca.RpcaConfig(eta=eta_value * math.sqrt(m / K))
@@ -112,21 +114,23 @@ def _build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-def _decompose(DB: np.ndarray, sc: Scenario, t0: float, args, config: rpca.RpcaConfig,
+def _decompose(D: np.ndarray, sc: Scenario, t0: float, args, config: rpca.RpcaConfig,
                eta_value: float, eta_mode: str):
-    """RPCA of DB on its critically sampled grid, with L and S mapped back to DB's.
+    """RPCA of DB = to_baseband(D) on its critically sampled grid, with L and S
+    mapped back to DB's.
 
-    The relative residual and the rank carry over exactly; nnz_S counts S on
-    the short grid (the mapped S is dense).  Returns the split, the report
-    written to rpca_report.json and summary.json, and the short-grid DB, L
-    and S, whose singular values are DB's, L's and S's times sqrt(K / m).
+    The solve grid is read from D itself, so DB is not demixed or transformed
+    again.  The relative residual and the rank carry over exactly; nnz_S counts
+    S on the short grid (the mapped S is dense).  Returns the split, the report
+    written to rpca_report.json and summary.json, and the short-grid DB, L and
+    S, whose singular values are DB's, L's and S's times sqrt(K / m).
     """
-    m, grid = DB.shape[1], (sc.pulse, sc.sampling.delta_t)
-    DB_K = baseband.to_solve_grid(DB, *grid, t0=t0)
+    grid = (sc.pulse, sc.sampling.delta_t)
+    DB_K = baseband.to_solve_grid(D, *grid)
     dec = rpca.decompose_windowed(DB_K, args.windows, config)
     short = {"DB": DB_K, "L": dec.L, "S": dec.S}
-    dec = replace(dec, L=baseband.from_solve_grid(dec.L, *grid, m, t0=t0),
-                  S=baseband.from_solve_grid(dec.S, *grid, m, t0=t0))
+    dec = replace(dec, L=baseband.from_solve_grid(dec.L, *grid, D.shape[1], t0=t0),
+                  S=baseband.from_solve_grid(dec.S, *grid, D.shape[1], t0=t0))
     report = {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
               "solve_columns": DB_K.shape[1], "iterations": dec.iterations,
               "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
@@ -201,20 +205,19 @@ def _run(args, last: str) -> int:
     """
     sc = _load(args)
     t = simulate.fast_times(sc)
-    # bad --velocity, --eta, --windows or grid options are configuration errors
-    # before any stage writes
+    # bad --velocity, --eta, --windows or grid options are configuration errors,
+    # and an empty passband a physics error, before any stage writes
+    images = {}
     if last == "image":
         last, images = SOURCE_STAGE[args.source], {args.source: _velocity(args.velocity)}
-    elif last == "pipeline":
-        images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
-    else:
-        images = {}
     stages = STAGES[:STAGES.index(last) + 1]
     if "decompose" in stages and not 1 <= args.windows <= sc.platform.pulse_count:
         raise ConfigError("--windows must be in [1, pulse count]")
     if "decompose" in stages:
         eta_used = _resolve_eta(args.eta, sc, t.size)
         config = _solve_config(sc, t.size, eta_used[0])
+    if last == "pipeline":
+        images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
     ends = [("start", time.perf_counter())]  # (stage, when it ended)
@@ -228,7 +231,7 @@ def _run(args, last: str) -> int:
         matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
         ends.append(("baseband", time.perf_counter()))
     if "decompose" in stages:
-        dec, report, short = _decompose(DB, sc, t[0], args, config, *eta_used)
+        dec, report, short = _decompose(D, sc, t[0], args, config, *eta_used)
         matrices.update(L=dec.L, S=dec.S)
         matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
         matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))

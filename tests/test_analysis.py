@@ -93,6 +93,14 @@ def test_only_rpca_calls_the_svd():
     assert callers == ["rpca.py"]
 
 
+def test_only_baseband_calls_the_fft():
+    # the band is decided, and extracted from D, in one module
+    src = Path(sarlrs.__file__).parent
+    callers = sorted(f.name for f in src.glob("*.py")
+                     if any(name in f.read_text() for name in ("np.fft", "numpy.fft")))
+    assert callers == ["baseband.py"]
+
+
 def _imports(path):
     """Every module a source file imports, a relative import as sarlrs.<name>."""
     for node in ast.walk(ast.parse(path.read_text())):

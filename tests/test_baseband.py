@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -86,16 +87,23 @@ def test_degenerate_zero_carrier_reconstruction():
     assert np.allclose(out, DB.real)
 
 
-def test_carrier_aliasing_rejected():
+# both grids read D through the same band extraction, and so the same checks
+FROM_D = pytest.mark.parametrize("transform", [to_baseband, to_solve_grid],
+                                 ids=["to_baseband", "to_solve_grid"])
+
+
+@FROM_D
+def test_carrier_aliasing_rejected(transform):
     pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
     with pytest.raises(CarrierAliased):
-        to_baseband(np.ones((2, 16)), pulse, delta_t=1e-8)
+        transform(np.ones((2, 16)), pulse, delta_t=1e-8)
 
 
-def test_fewer_than_eight_columns_rejected():
+@FROM_D
+def test_fewer_than_eight_columns_rejected(transform):
     pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
     with pytest.raises(ConfigError):
-        to_baseband(np.ones((2, 7)), pulse, delta_t=3.75e-10)
+        transform(np.ones((2, 7)), pulse, delta_t=3.75e-10)
 
 
 def _reference_to_baseband(D, pulse, delta_t, t0):
@@ -109,6 +117,15 @@ def _reference_to_baseband(D, pulse, delta_t, t0):
     return np.fft.ifft(spec, axis=1) * np.exp(1j * pulse.carrier_angular_frequency * t)
 
 
+def _reference_to_solve_grid(DB, pulse, delta_t, t0):
+    """The solve grid read off D_B: demix, one FFT at m, keep the bins, one K-point inverse."""
+    bins = passband_bins(DB.shape[1], pulse, delta_t)
+    t = t0 + np.arange(DB.shape[1]) * delta_t
+    spec = np.fft.fft(DB * np.exp(-1j * pulse.carrier_angular_frequency * t), axis=1,
+                      norm="forward")
+    return np.fft.ifft(np.roll(spec[:, bins], bins[0], axis=1), axis=1, norm="forward")
+
+
 @pytest.mark.parametrize("regime, kept", [("scaled", 135), ("gotcha", 956)])
 def test_critically_sampled_grid_is_exact(regime, kept):
     with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
@@ -120,9 +137,12 @@ def test_critically_sampled_grid_is_exact(regime, kept):
     assert np.max(np.abs(DB - ref)) <= 1e-13 * np.max(np.abs(ref))
     m = DB.shape[1]
     assert passband_bins(m, sc.pulse, dt).size == kept
-    short = to_solve_grid(DB, sc.pulse, dt, t0=t0)
+    short = to_solve_grid(D, sc.pulse, dt)
     assert short.shape == (DB.shape[0], kept)
-    # DB lies in the kept bins, so the round trip through the short grid returns it
+    # read off D, the grid is the one the demixed D_B's bins give
+    via_DB = _reference_to_solve_grid(DB, sc.pulse, dt, t0)
+    assert np.linalg.norm(short - via_DB) <= 1e-13 * np.linalg.norm(short)
+    # DB lies in the kept bins, so mapping D's short grid back gives DB
     back = from_solve_grid(short, sc.pulse, dt, m, t0=t0)
     assert np.linalg.norm(back - DB) <= 1e-13 * np.linalg.norm(DB)
     # the map between the grids is a scaled isometry
@@ -150,20 +170,38 @@ def test_no_fft_at_an_unsmooth_length(monkeypatch, tmp_path):
     explicit = replace(base, sampling=SamplingGrid(dt, 0.0, 40 * dt))
     for sc, m in ((_shipped("scaled"), 3000), (_shipped("gotcha"), 32000), (explicit, 45)):
         assert fast_times(sc).size == m and _is_smooth(m)
-    lengths = []
+    calls = []  # (transform, length)
     for name in ("fft", "ifft", "rfft", "irfft"):
         transform = getattr(np.fft, name)
 
-        def recorded(a, n=None, axis=-1, *args, transform=transform, **kwargs):
-            lengths.append(np.shape(a)[axis] if n is None else n)
+        def recorded(a, n=None, axis=-1, *args, transform=transform, name=name, **kwargs):
+            calls.append((name, np.shape(a)[axis] if n is None else n))
             return transform(a, n, axis, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, recorded)
     assert main(["pipeline", "--regime", "scaled", "--eta", "optimal", "--grid-pixels", "11",
                  "--out", str(tmp_path)]) == 0
     K = json.loads((tmp_path / "rpca_report.json").read_text())["solve_columns"]
+    lengths = [n for _, n in calls]
     assert 3000 in lengths
     # the solve grid's K-point transforms are small and may take any length
     assert all(_is_smooth(n) for n in lengths if n != K), lengths
+    # D's band is extracted once, by its real FFT: the solve grid does not take
+    # a complex FFT of DB at the gate's length
+    assert ("rfft", 3000) in calls and ("fft", 3000) not in calls, calls
+
+
+def test_solve_grid_peak_memory():
+    # the band is read off D's real FFT, half a complex gate-length matrix;
+    # no complex gate-length matrix is made
+    sc = _shipped("scaled")
+    D = synthesize_downramped(sc)
+    tracemalloc.start()
+    try:
+        to_solve_grid(D, sc.pulse, sc.sampling.delta_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * D.shape[0] * D.shape[1] * 16
 
 
 @pytest.mark.parametrize("regime", ["scaled", "gotcha"])

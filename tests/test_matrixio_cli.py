@@ -220,6 +220,24 @@ def test_cli_gate_too_narrow_exit_code(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command", ["baseband", "decompose", "pipeline"])
+def test_cli_empty_passband_is_physics_error(tmp_path, capsys, command):
+    # 24 samples of 0.1 ns resolve 417 MHz: no bin lies within 6B = 0.6 MHz of 1 GHz
+    doc = json.loads(_scaled_config(tmp_path).read_text())
+    doc["targets"] = []
+    doc["pulse"] = {"carrier_frequency_hz": 1e9, "bandwidth_frequency_hz": 1e5}
+    doc["sampling"] = {"delta_t_seconds": 1e-10, "gate_start_seconds": 0.0,
+                       "gate_end_seconds": 2e-9}
+    doc["platform"]["pulse_count"] = 5
+    cfg = tmp_path / "empty-band.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("physics error: ")
+    if command != "baseband":  # the band is checked with the solve's settings
+        assert not out.exists()
+
+
 def test_cli_eta_report(tmp_path):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
