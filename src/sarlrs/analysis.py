@@ -1,8 +1,10 @@
 """Norm and spectrum diagnostics for SAR data matrices.
 
 Brute-force l1/Frobenius/nuclear evaluations, their closed-form estimates,
-empirical eta bounds from class-representative matrices, and the
-separation-quality metrics used to score a low-rank plus sparse split.
+empirical eta bounds from class-representative matrices, and the scores of
+a low-rank plus sparse split: the relative Frobenius errors of S against
+the moving-only and of L against the stationary-only reference matrix,
+and the cosine between S and the moving-only reference.
 Every spectrum the package reports comes from `rpca.singular_values`.
 """
 
@@ -21,7 +23,6 @@ from .scenario import SamplingGrid, Scenario, Target
 from .simulate import fast_time_gate, synthesize_baseband_direct, synthesize_downramped
 
 EFFECTIVE_SUPPORT_REL = 1e-3   # sigma_k above 1e-3 * sigma_0 count as support
-MASK_REL = 1e-3                # separation masks: entries above 1e-3 of per-matrix max
 
 
 class NarrowbandViolated(UserWarning):
@@ -156,59 +157,44 @@ def empirical_eta_bounds(stationary_matrix, moving_matrix) -> EtaBounds:
 
 @dataclass
 class SeparationMetrics:
-    capture: float    # energy of the moving-target reference found in S
-    leakage: float    # fraction of S supported on the stationary traces
+    s_error: float | None    # ||S - M_ref||_F / ||M_ref||_F
+    l_error: float | None    # ||L - C_ref||_F / ||C_ref||_F
+    s_cosine: float | None   # |<S, M_ref>| / (||S||_F ||M_ref||_F), in [0, 1]
     residual: float
 
     def as_dict(self) -> dict:
-        return {"capture": self.capture, "leakage": self.leakage,
-                "residual": self.residual}
+        return {"s_error": self.s_error, "l_error": self.l_error,
+                "s_cosine": self.s_cosine, "residual": self.residual}
 
 
-def _support_mask(M, shape) -> np.ndarray:
-    """Entries of M above MASK_REL times its largest modulus (none for a zero M)."""
-    if not np.any(M):
-        return np.zeros(shape, bool)
-    mag = np.abs(M)
-    return mag > MASK_REL * np.max(mag)
+def _score(X, R) -> tuple[float | None, float | None]:
+    """(||X - R|| / ||R||, |<X, R>| / (||X|| ||R||)), None for a zero denominator.
 
-
-def _capture(S, moving_reference) -> float:
-    """Energy of the moving reference found in S, on the reference's support."""
-    mov = np.asarray(moving_reference)
-    mov_energy = float(np.linalg.norm(mov) ** 2)
-    mask = _support_mask(mov, S.shape)
-    return float(np.linalg.norm(S[mask]) ** 2) / mov_energy if mov_energy > 0 else 0.0
-
-
-def _leakage(S, stationary_reference) -> float:
-    """Fraction of S's norm on the stationary reference's support."""
-    mask = _support_mask(np.asarray(stationary_reference), S.shape)
-    s_norm = float(np.linalg.norm(S))
-    return float(np.linalg.norm(S[mask])) / s_norm if s_norm > 0 else 0.0
-
-
-def separation_metrics_from_matrices(S, moving_reference, stationary_reference,
-                                     residual: float = 0.0) -> SeparationMetrics:
-    S = np.asarray(S)
-    return SeparationMetrics(capture=_capture(S, moving_reference),
-                             leakage=_leakage(S, stationary_reference), residual=residual)
+    Overwrites the reference R with R - X, so no full-size temporary is made.
+    """
+    rr, xx, xr = np.vdot(R, R).real, np.vdot(X, X).real, abs(np.vdot(X, R))
+    np.subtract(R, X, out=R)
+    error = math.sqrt(np.vdot(R, R).real / rr) if rr > 0 else None
+    # rounding lifts the cosine of X = c R up to a few ulp past 1
+    cosine = min(1.0, float(xr / math.sqrt(xx * rr))) if xx * rr > 0 else None
+    return error, cosine
 
 
 def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
-    """Score a decomposition against per-class reference matrices.
+    """Score S against the moving-only and L against the stationary-only reference.
 
-    References are synthesized from the scenario's moving-only and
-    stationary-only target subsets, in the field matching S (complex:
-    baseband model; real: down-ramped model).  Each is scored and freed
-    before the next is synthesized, so one reference is held at a time.
+    References are synthesized from the scenario's target subsets on the
+    full scene's gate, in the field matching S (complex: baseband model;
+    real: down-ramped model).  Each is scored and freed before the next is
+    synthesized, so one reference is held at a time.
     """
-    S = np.asarray(decomposition.S)
+    S, L = np.asarray(decomposition.S), np.asarray(decomposition.L)
     synth = synthesize_baseband_direct if np.iscomplexobj(S) else synthesize_downramped
     # pin the full scene's gate so subset matrices share the column grid
     t0, t1 = fast_time_gate(scenario)
     grid = SamplingGrid(delta_t=scenario.sampling.delta_t, gate_start=t0, gate_end=t1)
     pinned = replace(scenario, sampling=grid)
-    return SeparationMetrics(capture=_capture(S, synth(pinned.moving_only())),
-                             leakage=_leakage(S, synth(pinned.stationary_only())),
+    s_error, s_cosine = _score(S, synth(pinned.moving_only()))
+    l_error, _ = _score(L, synth(pinned.stationary_only()))
+    return SeparationMetrics(s_error=s_error, l_error=l_error, s_cosine=s_cosine,
                              residual=decomposition.residual)

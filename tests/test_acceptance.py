@@ -146,12 +146,12 @@ def test_criterion_08_separation_quality(fig2):
     star = eta_bounds_baseband(
         ApertureParams.from_scenario(sc, [15.0, 0.0, 0.0])).eta_star
     opt1 = separation_metrics(decompose(DB, RpcaConfig(eta=star)), sc)
-    ok_a = conv5.capture > conv1.capture
-    ok_b = opt1.capture >= 0.8 and opt1.leakage <= 0.2
+    ok_a = conv5.s_error < conv1.s_error
+    ok_b = opt1.s_error <= 0.05 and opt1.s_cosine >= 0.99
     assert report(
         "08 separation-quality", ok_a and ok_b,
-        f"capture conv w1 {conv1.capture:.3f} < conv w5 {conv5.capture:.3f}; "
-        f"eta* w1 capture {opt1.capture:.3f} leakage {opt1.leakage:.3f}")
+        f"S error conv w5 {conv5.s_error:.3f} < conv w1 {conv1.s_error:.3f}; "
+        f"eta* w1 S error {opt1.s_error:.4f} cosine {opt1.s_cosine:.4f}")
 
 
 def test_criterion_09_imaging(imaging_scenario):

@@ -21,7 +21,7 @@ from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
 from sarlrs.errors import ConfigError
 from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
 from sarlrs.matrixio import read_matrix, write_matrix
-from sarlrs.scenario import (SamplingGrid, load_scenario, scenario_to_dict,
+from sarlrs.scenario import (SamplingGrid, Scenario, load_scenario, scenario_to_dict,
                              serialize_scenario)
 
 
@@ -273,11 +273,19 @@ def test_cli_decompose_and_image(tmp_path):
     assert sidecar["pixels"] == [11, 11]
 
 
-def _moving_reference(sc):
-    """Baseband model of the movers alone, on the full scene's gate."""
+def _reference(sc, subset=Scenario.moving_only):
+    """Baseband model of one target class alone, on the full scene's gate."""
     t0, t1 = sarlrs.simulate.fast_time_gate(sc)
     pinned = replace(sc, sampling=SamplingGrid(sc.sampling.delta_t, t0, t1))
-    return sarlrs.simulate.synthesize_baseband_direct(pinned.moving_only())
+    return sarlrs.simulate.synthesize_baseband_direct(subset(pinned))
+
+
+def _strict_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_cli_short_grid_split_matches_full_grid_solve(tmp_path):
@@ -295,7 +303,7 @@ def test_cli_short_grid_split_matches_full_grid_solve(tmp_path):
     full = sarlrs.rpca.decompose(DB, sarlrs.rpca.RpcaConfig(eta=star))
     assert (report["iterations"], report["rank_L"]) == (full.iterations, full.rank)
     assert np.linalg.norm(L - full.L) <= 1e-3 * np.linalg.norm(full.L)
-    M_ref = _moving_reference(sc)
+    M_ref = _reference(sc)
     error = lambda S: np.linalg.norm(S - M_ref) / np.linalg.norm(M_ref)
     assert abs(error(S) - error(full.S)) <= 0.005
 
@@ -319,14 +327,20 @@ def test_cli_decompose_gotcha_end_to_end(tmp_path):
     for M in (L, S):
         assert M.dtype == np.complex128 and M.shape == (237, 32000)
     assert np.linalg.norm(DB - L - S) <= 1e-7 * np.linalg.norm(DB)
-
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-
-    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
-            for p in out.glob("*.json")}
-    summary, report = docs["summary.json"], docs["rpca_report.json"]
-    assert summary["rpca"] == report
+    del DB
+    docs = {p.name: _strict_json(p) for p in out.glob("*.json")}
+    summary, report, metrics = docs["summary.json"], docs["rpca_report.json"], docs["metrics.json"]
+    assert summary["rpca"] == report and summary["metrics"] == metrics
+    # the scores are the reference errors their names say, on the gate's grid;
+    # each 121 MB reference is freed before the next is made
+    sc = load_scenario(out / "scenario.json")
+    for X, subset, key in ((S, Scenario.moving_only, "s_error"),
+                           (L, Scenario.stationary_only, "l_error")):
+        R = _reference(sc, subset)
+        assert metrics[key] == pytest.approx(np.linalg.norm(X - R) / np.linalg.norm(R),
+                                             rel=1e-9)
+        del R
+    assert 0 <= metrics["s_cosine"] <= 1
     assert set(summary["seconds"]) == {"simulate", "baseband", "decompose", "tail"}
     assert 1 <= report["rank_L"] < 237
     with open(out / "spectra.csv") as fh:
@@ -437,7 +451,8 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
                  "spectra.csv", "metrics.json", "summary.json",
                  "image_DB.pgm", "image_L.pgm", "image_S.pgm"):
         assert (out / name).exists(), name
-    summary = json.loads((out / "summary.json").read_text())
+    docs = {p.name: _strict_json(p) for p in out.glob("*.json")}
+    summary = docs["summary.json"]
     assert summary["rpca"]["degenerate"] is None
     build = summary["rpca"]["build"]
     assert set(build) == {"numpy", "blas"} and build["numpy"] == np.__version__
@@ -447,9 +462,9 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
     assert trace[-1]["residual"] == pytest.approx(summary["rpca"]["residual"], rel=1e-9)
     assert set(summary["seconds"]) == {"simulate", "baseband", "decompose", "tail"}
     assert all(seconds >= 0 for seconds in summary["seconds"].values())
-    metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["capture"] >= 0.8
-    assert metrics["leakage"] <= 0.2
+    metrics = docs["metrics.json"]
+    assert list(metrics) == ["s_error", "l_error", "s_cosine", "residual"]
+    assert metrics["s_error"] <= 0.05 and metrics["s_cosine"] >= 0.99
     for path in (out / "D.sarm", out / "L.sarm"):
         M, meta = read_matrix(path)  # everything emitted is re-readable
         assert M.size > 0 and "scenario_hash" in meta
@@ -460,6 +475,21 @@ def test_cli_pipeline_outputs(tmp_path, monkeypatch):
         sigma = np.array([float(r["sigma"]) for r in rows if r["matrix"] == name])
         assert sigma.shape == ref.shape, name
         assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0], name
+
+
+def test_cli_pipeline_mover_only_scene_scores_no_l_error(tmp_path):
+    # with no stationary target C_ref = 0, so the L error has no denominator
+    doc = json.loads(_scaled_config(tmp_path).read_text())
+    doc["targets"] = [t for t in doc["targets"] if any(t["velocity_mps"])]
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--eta", "optimal",
+                 "--grid-extent", "20", "--grid-pixels", "11", "--out", str(out)]) == 0
+    metrics = _strict_json(out / "metrics.json")
+    assert metrics["l_error"] is None
+    assert metrics["s_error"] <= 0.05 and metrics["s_cosine"] >= 0.99
+    assert _strict_json(out / "summary.json")["metrics"] == metrics
 
 
 def test_cli_pipeline_not_converged_writes_outputs_then_exits_3(tmp_path, monkeypatch):
@@ -490,12 +520,7 @@ def test_cli_image_zero_background_writes_strict_json(tmp_path):
     out = tmp_path / "run"
     assert main(["image", "--regime", "scaled", "--source", "D", "--grid-extent", "400",
                  "--grid-pixels", "21", "--out", str(out)]) == 0
-
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-
-    docs = {p.name: json.loads(p.read_text(), parse_constant=reject)
-            for p in out.glob("*.json")}
+    docs = {p.name: _strict_json(p) for p in out.glob("*.json")}
     assert sorted(docs) == ["image_D.json", "scenario.json"]
     image = docs["image_D.json"]
     assert image["dynamic_range"] is None
