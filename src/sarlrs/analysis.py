@@ -23,6 +23,7 @@ from .scenario import SamplingGrid, Scenario, Target
 from .simulate import fast_time_gate, synthesize_baseband_direct, synthesize_downramped
 
 EFFECTIVE_SUPPORT_REL = 1e-3   # sigma_k above 1e-3 * sigma_0 count as support
+SCORE_ROWS = 16                # rows per reference block in separation_metrics
 
 
 class NarrowbandViolated(UserWarning):
@@ -167,16 +168,26 @@ class SeparationMetrics:
                 "s_cosine": self.s_cosine, "residual": self.residual}
 
 
-def _score(X, R) -> tuple[float | None, float | None]:
+def _score(X, synth, scenario) -> tuple[float | None, float | None]:
     """(||X - R|| / ||R||, |<X, R>| / (||X|| ||R||)), None for a zero denominator.
 
-    Overwrites the reference R with R - X, so no full-size temporary is made.
+    The reference R = synth(scenario) is synthesized SCORE_ROWS rows at a
+    time, and each sum is taken over the blocks, so no full-size array is
+    made: a block of R is overwritten with R - X.
     """
-    rr, xx, xr = np.vdot(R, R).real, np.vdot(X, X).real, abs(np.vdot(X, R))
-    np.subtract(R, X, out=R)
-    error = math.sqrt(np.vdot(R, R).real / rr) if rr > 0 else None
+    rr = xx = xr = dd = 0.0
+    for first in range(0, scenario.platform.pulse_count, SCORE_ROWS):
+        rows = slice(first, first + SCORE_ROWS)
+        R, Xb = synth(scenario, rows=rows), X[rows]
+        rr += np.vdot(R, R).real
+        xx += np.vdot(Xb, Xb).real
+        xr += np.vdot(Xb, R)
+        np.subtract(R, Xb, out=R)
+        dd += np.vdot(R, R).real
+        del R  # before the next block is synthesized
+    error = math.sqrt(dd / rr) if rr > 0 else None
     # rounding lifts the cosine of X = c R up to a few ulp past 1
-    cosine = min(1.0, float(xr / math.sqrt(xx * rr))) if xx * rr > 0 else None
+    cosine = min(1.0, float(abs(xr) / math.sqrt(xx * rr))) if xx * rr > 0 else None
     return error, cosine
 
 
@@ -185,8 +196,8 @@ def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
 
     References are synthesized from the scenario's target subsets on the
     full scene's gate, in the field matching S (complex: baseband model;
-    real: down-ramped model).  Each is scored and freed before the next is
-    synthesized, so one reference is held at a time.
+    real: down-ramped model).  Each is synthesized and scored SCORE_ROWS
+    rows at a time, so no full-size array is added to S and L.
     """
     S, L = np.asarray(decomposition.S), np.asarray(decomposition.L)
     synth = synthesize_baseband_direct if np.iscomplexobj(S) else synthesize_downramped
@@ -194,7 +205,7 @@ def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
     t0, t1 = fast_time_gate(scenario)
     grid = SamplingGrid(delta_t=scenario.sampling.delta_t, gate_start=t0, gate_end=t1)
     pinned = replace(scenario, sampling=grid)
-    s_error, s_cosine = _score(S, synth(pinned.moving_only()))
-    l_error, _ = _score(L, synth(pinned.stationary_only()))
+    s_error, s_cosine = _score(S, synth, pinned.moving_only())
+    l_error, _ = _score(L, synth, pinned.stationary_only())
     return SeparationMetrics(s_error=s_error, l_error=l_error, s_cosine=s_cosine,
                              residual=decomposition.residual)

@@ -16,10 +16,11 @@ carry an absolute error of about eps * sigma_max^2 and singular values below
 before it takes any spectrum: for thresholds below GRAM_MIN_TAU * ||A||_F it
 takes the exact R-factor route instead of eigh(G).  R from the QR of the tall
 view A^T has R^H R = A A^H, and the n x n SVD of R gives A's singular values
-and left singular vectors as accurately as an SVD of A.  `singular_values`
-reads the same R.  SVT returns L's singular values, sigma_k - tau for the
-kept k, with L, and the rank that `decompose` reports counts them, so no
-spectrum of L is taken after the solve.
+and left singular vectors as accurately as an SVD of A.  R is updated one
+BLOCK-column block at a time, so LAPACK never copies more than n + BLOCK
+rows of A^T.  `singular_values` reads the same R.  SVT returns L's singular
+values, sigma_k - tau for the kept k, with L, and the rank that `decompose`
+reports counts them, so no spectrum of L is taken after the solve.
 
 SVT reads its input and writes L one BLOCK-column block of A at a time.
 `_gram` sums G over the blocks with no conjugated or real copy of A: a
@@ -37,21 +38,30 @@ slower, and 8192 was no faster with 35 MB.  Every CLI solve (135 or 956
 columns) is one block.
 
 Around each SVT step, everything an iteration does is elementwise, over
-CHUNK-entry slices of the flat, C-contiguous work arrays.  One pass writes
-the SVT input T = (Y/mu + D) - S, and SVT writes L over it.  The next pass
-takes W = Y/mu + D, S = soft_threshold(W - L, eta/mu), R = D - L - S with
-its squared norm summed, and Y += mu R.  So D, Y, S and the one buffer
-that holds T and then L are the only full-size arrays; W and R exist only
-a slice at a time, and the returned L is SVT's output, since no T pass
-follows the last iteration.  A complex Y is multiplied by 1/mu
-(`_divide`): numpy divides complex by real as (a + 0 b) * (1/mu), so the
-values are those of the division and only the sign of a zero can differ.
-Each entry otherwise goes through the same numpy operations as in a loop
-over whole arrays that divides, so L and S are equal to that loop's under
-np.array_equal (the same bytes for real D); only the residual's summation
-order differs.  CHUNK was set by timing the pass on a 237 x 31674 complex
-matrix (2 vCPU, medians of five): 8192 entries was fastest, 4096 3 %
-slower, 16384 to 65536 12-27 % slower, and whole arrays twice as slow.
+CHUNK-entry slices of the flat, C-contiguous work arrays.  While it iterates,
+`decompose` holds S as its kept entries: per slice, their offsets in the
+narrowest unsigned type that holds CHUNK - 1 (uint16) and their values, so
+even a fully dense S costs at most 18/16 of a dense complex array.  One pass
+writes the SVT input T = (Y/mu + D) - S, subtracting S at its offsets only,
+and SVT writes L over it.  The next pass takes W = Y/mu + D, the shrinkage
+scale of W - L (`_shrink_scale`, the formula of `soft_threshold`), S's kept
+entries where that scale is positive and their values, R = D - L - S with
+its squared norm summed, and Y += mu R.  So D, Y and the one buffer that
+holds T and then L are the only full-size arrays while it iterates; W, R
+and the scale exist only a slice at a time, and the returned L is SVT's
+output, since no T pass follows the last iteration.  Y is freed before the
+dense S is built, so the solve returns holding D, L and S.  A complex Y is
+multiplied by 1/mu (`_divide`): numpy divides complex by real as
+(a + 0 b) * (1/mu), so the values are those of the division and only the
+sign of a zero can differ.  Each entry otherwise goes through the same numpy
+operations as in a loop over whole, dense arrays that divides, so L and S
+are equal to that loop's under np.array_equal; only the signs of zeros and
+the residual's summation order differ.  CHUNK was set by timing the pass on
+a 237 x 31674 complex matrix (2 vCPU, medians of five): 8192 entries was
+fastest, 4096 3 % slower, 16384 to 65536 12-27 % slower, and whole arrays
+twice as slow.  Holding S as its kept entries took the pass on the seed-0
+237 x 32000 gotcha solve (11 iterations at tol 1e-2) from 2.4-2.8 s to
+1.9-2.2 s.
 """
 
 from __future__ import annotations
@@ -107,6 +117,18 @@ class Decomposition:
     trace: list = field(default_factory=list)  # one dict per iteration
 
 
+def _shrink_scale(a: np.ndarray, eta: float, out=None) -> np.ndarray:
+    """max(1 - eta / |a|, 0), the real factor of magnitude shrinkage, in `out` when given.
+
+    No placeholder phase: exact zeros and ties map to 0.
+    """
+    scale = np.abs(a, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(eta, scale, out=scale)  # inf at zeros, nan at 0 / 0
+    np.subtract(1.0, scale, out=scale)
+    return np.fmax(scale, 0.0, out=scale)  # fmax maps the nan to 0
+
+
 def soft_threshold(a, eta: float, out=None):
     """Magnitude shrinkage that keeps the complex argument.
 
@@ -118,11 +140,7 @@ def soft_threshold(a, eta: float, out=None):
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
-    scale = np.abs(np.atleast_1d(a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(eta, scale, out=scale)  # inf at zeros, nan at 0 / 0
-    np.subtract(1.0, scale, out=scale)
-    np.fmax(scale, 0.0, out=scale)        # fmax maps the nan to 0
+    scale = _shrink_scale(np.atleast_1d(a), eta)
     shrunk = np.multiply(a, scale.reshape(a.shape), out=out)
     return shrunk if shrunk.ndim else shrunk[()]
 
@@ -180,11 +198,15 @@ def _r_factor_svd(A: np.ndarray, compute_uv: bool = True):
 
     With R = U_R s V^H, s holds A's singular values (descending) and the
     columns of V its left singular vectors, both as accurate as a full SVD.
-    A^T is a view of A, so no conjugated copy of A is made.
+    R is updated one BLOCK-column block A_c of A at a time, R = qr([R; A_c^T]),
+    so LAPACK copies at most n + BLOCK rows of A^T, not all of them, and no
+    conjugated copy of A is made.
     """
     try:
-        R = np.linalg.qr(A.T, mode="r").conj()
-        return np.linalg.svd(R, compute_uv=compute_uv)
+        R = np.linalg.qr(A[:, :BLOCK].T, mode="r")
+        for c in range(BLOCK, A.shape[1], BLOCK):
+            R = np.linalg.qr(np.concatenate((R, A[:, c:c + BLOCK].T)), mode="r")
+        return np.linalg.svd(R.conj(), compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(str(exc)) from exc
 
@@ -270,34 +292,43 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
 
     # dual ascent seed: Y_0 = D / max(||D||_2, ||D||_inf / eta)
     Y = D / max(norm2, d_max / eta)
-    S = np.zeros_like(Y)
-    T = np.empty_like(Y)          # the SVT input, then SVT's output L
-    w = np.empty(CHUNK, Y.dtype)  # W = Y/mu + D, then mu R
-    r = np.empty(CHUNK, Y.dtype)  # W - L, then R = D - L - S
+    T = np.empty_like(Y)               # the SVT input, then SVT's output L
+    w = np.empty(CHUNK, Y.dtype)       # W = Y/mu + D, then mu R
+    r = np.empty(CHUNK, Y.dtype)       # W - L, then R = D - L - S
+    a = np.empty(CHUNK, Y.real.dtype)  # the shrinkage scale of W - L
+    # S as its kept entries: per chunk, their offsets in it and their values
+    offset = np.min_scalar_type(CHUNK - 1)
+    kept = [(np.empty(0, offset), np.empty(0, Y.dtype))] * -(-Y.size // CHUNK)
     converged = False
     residual = np.inf
     trace = []
     it = 0
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
-        for d, y, s, t in _chunks(D, Y, S, T):             # T = (Y/mu + D) - S
+        for (d, y, t), (k, v) in zip(_chunks(D, Y, T), kept):  # T = (Y/mu + D) - S
             _divide(y, mu, out=t)
             t += d
-            t -= s
+            k = k.astype(np.intp)  # one conversion for both indexings of t[k] -= v
+            t[k] -= v
         svt_start = time.perf_counter()
         L, sv = singular_value_threshold(T, 1.0 / mu, out=T)
         rank = int(np.count_nonzero(sv > 1e-9 * sv.max(initial=0.0)))
         svt_end = time.perf_counter()
         sq_norm, nnz = 0.0, 0
-        for d, y, l, s in _chunks(D, Y, L, S):
+        for i, (d, y, l) in enumerate(_chunks(D, Y, L)):
             n = d.size
-            wc, rc = w[:n], r[:n]
+            wc, rc, ac = w[:n], r[:n], a[:n]
             _divide(y, mu, out=wc)                         # W = Y/mu + D
             wc += d
-            soft_threshold(np.subtract(wc, l, out=rc), eta / mu, out=s)
-            nnz += np.count_nonzero(s)
+            # S = soft_threshold(W - L, eta/mu), kept where the scale is positive
+            # (the nonzeros of a bool mask are found 4x faster than of the scale)
+            np.subtract(wc, l, out=rc)
+            k = np.flatnonzero(_shrink_scale(rc, eta / mu, out=ac) > 0)
+            v = rc[k] * ac[k]
+            kept[i] = k.astype(offset), v
+            nnz += np.count_nonzero(v)
             np.subtract(d, l, out=rc)                      # R = D - L - S
-            rc -= s
+            rc[k] -= v
             sq_norm += np.vdot(rc, rc).real
             y += np.multiply(rc, mu, out=wc)
         residual = np.sqrt(sq_norm) / norm_f
@@ -311,6 +342,10 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
             break
         mu = min(RHO * mu, mu_cap)
 
+    del Y, y  # the last pass's chunk view keeps Y alive: free it before S is built
+    S = np.zeros_like(L)
+    for (s,), (k, v) in zip(_chunks(S), kept):
+        s[k] = v
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,
         sparse_count=int(nnz), converged=converged, trace=trace,

@@ -119,11 +119,16 @@ def _check_gate(scenario: Scenario, delays: np.ndarray, t: np.ndarray) -> None:
             raise GateTooNarrow(i)
 
 
-def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
-    """sum_i sig_i carrier(w0, t - dtau_i, dtau_i) exp(-B^2 (t - dtau_i)^2 / 2)."""
+def _synthesize(scenario: Scenario, dtype, carrier, rows: slice) -> np.ndarray:
+    """sum_i sig_i carrier(w0, t - dtau_i, dtau_i) exp(-B^2 (t - dtau_i)^2 / 2) on `rows`.
+
+    Every row is summed over the targets in the same order whichever rows are
+    asked for, so a slice of rows is byte-identical to those rows of the whole.
+    """
     t = fast_times(scenario)
     cols = t.size
-    M = np.zeros((scenario.platform.pulse_count, cols), dtype=dtype)
+    n_rows = len(range(*rows.indices(scenario.platform.pulse_count)))
+    M = np.zeros((n_rows, cols), dtype=dtype)
     delays = _all_delays(scenario)
     _check_gate(scenario, delays, t)
     w0 = scenario.pulse.carrier_angular_frequency
@@ -134,6 +139,7 @@ def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
     # each side; a window wider than the gate is cut to it, and then starts at column 0
     width = min(math.ceil(2.0 * ENVELOPE_ZERO / (B * dt)) + 3, cols)
     for tgt, dtau in zip(scenario.targets, delays):
+        dtau = dtau[rows]
         starts = np.floor((dtau - ENVELOPE_ZERO / B - t[0]) / dt).astype(np.intp) - 1
         # one row at a time: a row's temporaries (tens of kB) are reused from the
         # heap, while freeing (rows, width) ones would raise glibc's dynamic mmap
@@ -145,15 +151,15 @@ def _synthesize(scenario: Scenario, dtype, carrier) -> np.ndarray:
     return M
 
 
-def synthesize_downramped(scenario: Scenario) -> np.ndarray:
-    """Real down-ramped data matrix, shape (n+1, len(fast_times))."""
-    return _synthesize(scenario, float, lambda w0, arg, dtau: np.cos(w0 * arg))
+def synthesize_downramped(scenario: Scenario, rows: slice = slice(None)) -> np.ndarray:
+    """Real down-ramped data matrix, shape (n+1, len(fast_times)), or its `rows`."""
+    return _synthesize(scenario, float, lambda w0, arg, dtau: np.cos(w0 * arg), rows)
 
 
-def synthesize_baseband_direct(scenario: Scenario) -> np.ndarray:
-    """Analytic complex-baseband matrix; oracle for the FFT filtering path."""
+def synthesize_baseband_direct(scenario: Scenario, rows: slice = slice(None)) -> np.ndarray:
+    """Analytic complex-baseband matrix, or its `rows`; oracle for the FFT filtering path."""
     return _synthesize(scenario, complex,
-                       lambda w0, arg, dtau: np.exp(1j * w0 * dtau))
+                       lambda w0, arg, dtau: np.exp(1j * w0 * dtau), rows)
 
 
 def column_support(scenario: Scenario, target: Target) -> int:

@@ -239,8 +239,10 @@ def test_separation_metrics_perfect_split():
     m = score(mov, stat)
     assert m.s_error == 0.0 and m.l_error == 0.0
     assert m.s_cosine == pytest.approx(1.0, abs=1e-12)
-    c = score(-2.5 * mov, stat)  # a scaled copy: the cosine is |.| and never past 1
-    assert c.s_cosine == 1.0 and c.s_error == pytest.approx(3.5, rel=1e-12)
+    for factor in (-0.3, 3.0):  # scaled copies, whose unclamped cosine rounds past 1
+        c = score(factor * mov, stat)  # the cosine is |.| and clamped to 1
+        assert c.s_cosine == 1.0
+        assert c.s_error == pytest.approx(abs(factor - 1.0), rel=1e-12)
     z = score(np.zeros_like(mov), DB)  # nothing found
     assert z.s_error == 1.0 and z.s_cosine is None
     d = score(DB, np.zeros_like(DB))  # all of D_B in S
@@ -248,8 +250,8 @@ def test_separation_metrics_perfect_split():
 
 
 def test_separation_metrics_hold_one_reference_at_a_time(scaled_scenario):
-    # each reference is synthesized, scored in place and freed before the
-    # next; even a real modulus of one beside it pushes this past 1.5
+    # each reference is synthesized and scored SCORE_ROWS rows at a time (a
+    # 16-row block is 0.16 of the matrix); a whole reference pushes this past 1
     DB = synthesize_baseband_direct(scaled_scenario)
     split = SimpleNamespace(S=DB, L=DB, residual=0.0)
     tracemalloc.start()
@@ -258,7 +260,26 @@ def test_separation_metrics_hold_one_reference_at_a_time(scaled_scenario):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * DB.nbytes
+    assert peak <= 0.25 * DB.nbytes
+
+
+def test_separation_metrics_of_a_complex_split_match_whole_references(scaled_scenario):
+    from dataclasses import replace
+    from sarlrs.scenario import SamplingGrid
+    from sarlrs.simulate import fast_time_gate
+    sc = scaled_scenario
+    DB = synthesize_baseband_direct(sc)
+    dec = decompose(DB, RpcaConfig(eta=conventional_eta(*DB.shape), tol=1e-4))
+    pinned = replace(sc, sampling=SamplingGrid(sc.sampling.delta_t, *fast_time_gate(sc)))
+    mov = synthesize_baseband_direct(pinned.moving_only())
+    stat = synthesize_baseband_direct(pinned.stationary_only())
+    assert mov.shape[0] % sarlrs.analysis.SCORE_ROWS  # the last block is partial
+    norm = np.linalg.norm
+    expected = [norm(dec.S - mov) / norm(mov), norm(dec.L - stat) / norm(stat),
+                abs(np.vdot(dec.S, mov)) / (norm(dec.S) * norm(mov))]
+    got = separation_metrics(dec, sc)
+    assert [got.s_error, got.l_error, got.s_cosine] == pytest.approx(expected, rel=1e-12)
+    assert got.residual == dec.residual
 
 
 def test_separation_metrics_of_a_real_split_use_down_ramped_references(monkeypatch):

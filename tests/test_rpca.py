@@ -288,6 +288,30 @@ def test_singular_values_match_svd(shape):
     assert np.max(np.abs(out - ref)) <= 1e-14 * ref[0]
 
 
+@pytest.mark.parametrize("shape", [(12, 6 * rpca.BLOCK + 5), (6 * rpca.BLOCK + 5, 12)],
+                         ids=["wide", "tall"])
+def test_r_factor_is_updated_block_by_block(shape, monkeypatch):
+    M = with_spectrum(np.logspace(0, -14, 12), *shape, complex_=True, seed=6)
+    sig = np.linalg.svd(M, compute_uv=False)
+    rows = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, **k: rows.append(a.shape[0]) or qr(a, **k))
+    tracemalloc.start()
+    try:
+        out = singular_values(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(out - sig)) <= 1e-14 * sig[0]
+    # R = qr([R; A_c^T]) per BLOCK columns: LAPACK sees one block, not all of A
+    assert rows == [rpca.BLOCK] + [12 + rpca.BLOCK] * 5 + [12 + 5]
+    assert peak <= 0.5 * M.nbytes
+    tau = 1e-9 * sig[0]  # below the guard: the exact route
+    ref = svd_threshold_reference(M, tau)
+    L = singular_value_threshold(M, tau)[0]
+    assert np.linalg.norm(L - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_rank_counts_like_svd_just_above_cut(monkeypatch):
     # L's smallest kept singular value, 2e-9 sigma_0, sits just above the
     # 1e-9 cut, and its 17 exact zeros would read as ~1e-8 sigma_0 from the
@@ -482,20 +506,33 @@ def test_chunked_pass_matches_whole_array_loop(name):
     assert out.rank == np.count_nonzero(sig > 1e-9 * sig[0])
 
 
-def test_decompose_peak_memory():
-    # Y, S and one buffer shared by the SVT input T and its output L are the
-    # only full-size arrays decompose allocates: SVT writes L over T block by
-    # block, and the rank comes from SVT's kept spectrum, not a QR of L; a
-    # second L, a full-size real copy of T for the Gram matrix, a stored
-    # W = Y/mu + D or full-size shrinkage temporaries push this past 3.6
-    D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
+def traced_decompose(D, eta):
+    """decompose(D) to tol 1e-4 and the peak of what it allocated, in bytes."""
     tracemalloc.start()
     try:
-        out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-4))
-        peak = tracemalloc.get_traced_memory()[1]
+        out = decompose(D, RpcaConfig(eta=eta, tol=1e-4))
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_decompose_peak_memory():
+    # while it iterates, decompose holds Y, one buffer shared by the SVT input
+    # T and its output L, and S as its kept entries (an offset of 2 bytes and
+    # a value each); Y is freed before the dense S is built.  A dense S while
+    # it iterates, a second L, a full-size real copy of T for the Gram matrix,
+    # a stored W = Y/mu + D or full-size shrinkage temporaries push this past 2.5
+    D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
+    out, peak = traced_decompose(D, conventional_eta(*D.shape))
     assert out.converged
+    assert peak <= 2.5 * D.nbytes
+
+
+def test_decompose_peak_memory_with_a_dense_s():
+    # a tiny eta keeps every entry, and the kept entries cost 18/16 of a dense S
+    D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
+    out, peak = traced_decompose(D, 1e-6 * conventional_eta(*D.shape))
+    assert out.converged and out.sparse_count == D.size
     assert peak <= 3.6 * D.nbytes
 
 

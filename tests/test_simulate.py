@@ -106,6 +106,22 @@ def test_gotcha_synthesis_evaluates_only_the_envelope_windows(monkeypatch):
     assert sum(evaluated) <= len(sc.targets) * rows * width
 
 
+@pytest.mark.parametrize("synthesize", [synthesize_downramped, synthesize_baseband_direct],
+                         ids=["downramped", "baseband"])
+@pytest.mark.parametrize("regime", ["scaled", "gotcha"])
+def test_row_slices_are_byte_identical_to_the_whole_matrix(regime, synthesize):
+    sc = pinned(shipped(regime)).moving_only()  # a reference scene, as it is scored
+    whole = synthesize(sc)
+    n = sc.platform.pulse_count
+    last = n - n % 16
+    assert 0 < n - last < 16
+    # a first block, the last partial block, a single row, and everything
+    for rows in (slice(0, 16), slice(last, last + 16), slice(n // 2, n // 2 + 1), slice(None)):
+        part = synthesize(sc, rows=rows)
+        assert part.dtype == whole.dtype and part.shape == whole[rows].shape
+        assert part.tobytes() == whole[rows].tobytes()
+
+
 def delay_reference(sc, points, s):
     """differential_delay through np.linalg.norm, as it was first written."""
     r = sc.platform.position_at(s)
