@@ -37,31 +37,35 @@ as fast as one product over the whole matrix (0.23, 0.29 and 0.52 s), with
 slower, and 8192 was no faster with 35 MB.  Every CLI solve (135 or 956
 columns) is one block.
 
-Around each SVT step, everything an iteration does is elementwise, over
-CHUNK-entry slices of the flat, C-contiguous work arrays.  While it iterates,
-`decompose` holds S as its kept entries: per slice, their offsets in the
-narrowest unsigned type that holds CHUNK - 1 (uint16) and their values, so
-even a fully dense S costs at most 18/16 of a dense complex array.  One pass
-writes the SVT input T = (Y/mu + D) - S, subtracting S at its offsets only,
-and SVT writes L over it.  The next pass takes W = Y/mu + D, the shrinkage
-scale of W - L (`_shrink_scale`, the formula of `soft_threshold`), S's kept
-entries where that scale is positive and their values, R = D - L - S with
-its squared norm summed, and Y += mu R.  So D, Y and the one buffer that
-holds T and then L are the only full-size arrays while it iterates; W, R
-and the scale exist only a slice at a time, and the returned L is SVT's
-output, since no T pass follows the last iteration.  Y is freed before the
-dense S is built, so the solve returns holding D, L and S.  A complex Y is
-multiplied by 1/mu (`_divide`): numpy divides complex by real as
-(a + 0 b) * (1/mu), so the values are those of the division and only the
-sign of a zero can differ.  Each entry otherwise goes through the same numpy
-operations as in a loop over whole, dense arrays that divides, so L and S
-are equal to that loop's under np.array_equal; only the signs of zeros and
-the residual's summation order differ.  CHUNK was set by timing the pass on
-a 237 x 31674 complex matrix (2 vCPU, medians of five): 8192 entries was
-fastest, 4096 3 % slower, 16384 to 65536 12-27 % slower, and whole arrays
-twice as slow.  Holding S as its kept entries took the pass on the seed-0
-237 x 32000 gotcha solve (11 iterations at tol 1e-2) from 2.4-2.8 s to
-1.9-2.2 s.
+The loop carries the SVT input T = Y/mu + D - S, not the dual Y.  With
+W = Y/mu + D, the shrink input is V = W - L = T + S_old - L, and the new
+dual gives Y'/mu = Y/mu + R = V - S, R = D - L - S.  So the next SVT input
+is T' = (mu/mu') (V - S) + D - S, and everything around each SVT step is one
+elementwise pass over CHUNK-entry slices of the flat, C-contiguous D, T and
+L.  While it iterates, `decompose` holds S as its kept entries: per slice,
+their offsets in the narrowest unsigned type that holds CHUNK - 1 (uint16)
+and their values, so even a fully dense S costs at most 18/16 of a dense
+complex array.  Per slice the pass forms V (adding S_old at its offsets),
+the shrinkage scale of V (`_shrink_scale`, the formula of `soft_threshold`),
+S's kept entries where it is positive and their values, R = D - L - S with
+its squared norm summed, and writes T' over T.  SVT writes L into its own
+buffer, so D, T and L are the only full-size arrays; V, R and the scale
+exist only a slice at a time, and the dense S is built in T's buffer after
+the last iteration.  The dual is implicit, Y/mu = T - D + S: its rounding is
+damped by mu/mu' each iteration and grows at most linearly once mu reaches
+its cap, so over 150 iterations, about 100 at the cap, L and S stayed
+within 1.3e-15 relative of a whole-array loop that carries Y.
+
+Y_0 = D / c and S_0 = 0, so the first SVT input is T_1 = s D, s = 1 +
+1/(c mu_0).  One Gram spectrum of D gives ||D||_2 (its top value, the value
+of `spectral_norm`) and the first SVT, which thresholds s D with D's
+singular values times s and its U through SVT's product step
+(`_threshold_product`); no Gram matrix or eigh of T_1 is taken.  CHUNK was
+set by timing the pass on a 237 x 31674 complex matrix (2 vCPU, medians of
+five): 8192 entries was fastest, 4096 3 % slower, 16384 to 65536 12-27 %
+slower, and whole arrays twice as slow.  On the seed-0 237 x 32000 gotcha
+solve (11 iterations at tol 1e-2) the passes took 1.3-1.7 s against 1.8-2.5 s
+for the two passes per iteration of the loop that carried Y.
 """
 
 from __future__ import annotations
@@ -224,13 +228,24 @@ def singular_value_threshold(M: np.ndarray, tau: float, out=None):
     given, as for a numpy ufunc, and to a new C-ordered array otherwise.
     Returns (L, s), s = sigma_k - tau for the kept k, descending.
     """
-    A, tall = _short_side(M)
+    A, _ = _short_side(M)
     G = _gram(A)
     if tau < GRAM_MIN_TAU * np.sqrt(np.trace(G).real):
         _, sig, Vh = _r_factor_svd(A)
         U = Vh.conj().T
     else:
         sig, U = _gram_spectrum(G)
+    return _threshold_product(M, sig, U, tau, out)
+
+
+def _threshold_product(M: np.ndarray, sig: np.ndarray, U: np.ndarray, tau: float, out=None):
+    """SVT's product step: U_k diag(1 - tau / sigma_k) U_k^H A for M's short side A.
+
+    sig and U are A's singular values and left singular vectors, in any
+    order; the kept k are those with sigma_k > tau.  Written to `out` as
+    `singular_value_threshold` describes; returns (L, s) as it does.
+    """
+    A, tall = _short_side(M)
     keep = sig > tau
     Uk = U[:, keep]
     Ukd = Uk * (1.0 - tau / sig[keep])
@@ -254,18 +269,6 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(_gram_spectrum(_gram(A))[0][-1])
 
 
-def _divide(a, mu: float, out=None):
-    """a / mu for a real scalar mu.
-
-    numpy divides complex by real as (a + 0 b) * (1 / mu), so a complex a is
-    multiplied by 1 / mu instead: the same values up to the sign of a zero,
-    without the complex division.  Real a is divided as before.
-    """
-    if np.iscomplexobj(a):
-        return np.multiply(a, 1.0 / mu, out=out)
-    return np.divide(a, mu, out=out)
-
-
 def _chunks(*arrays):
     """Aligned flat slices of equally shaped C-contiguous arrays, CHUNK entries at a time.
 
@@ -280,71 +283,81 @@ def _chunks(*arrays):
 
 
 def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
-    D = np.ascontiguousarray(D)
+    D = np.asarray(D)
+    D = np.ascontiguousarray(D, np.result_type(D, 1.0))  # integers are solved as floats
     norm_f = np.linalg.norm(D)  # nan or inf when any entry is
     if not 0 < norm_f < math.inf:
         raise ConfigError("input matrix is zero or has non-finite entries")
     eta = float(config.eta)  # a numpy float32 eta would round eta / mu to 32 bits
-    norm2 = spectral_norm(D)
-    d_max = np.max(np.abs(D))
+    T = np.empty_like(D)               # the SVT input, then the dense S
+    L = np.empty_like(D)               # SVT's output
+    v_buf = np.empty(CHUNK, D.dtype)   # V = W - L, then V - S
+    r = np.empty(CHUNK, D.dtype)       # R = D - L - S
+    a = np.empty(CHUNK, D.real.dtype)  # |D|, then the shrinkage scale of V
+    # D's spectrum gives ||D||_2, the value of spectral_norm, and the first SVT
+    spectrum = _gram_spectrum(_gram(_short_side(D)[0]))
+    norm2 = float(spectrum[0][-1])
+    d_max = max(np.abs(d, out=a[:d.size]).max() for (d,) in _chunks(D))
     mu = MU0_FACTOR / norm2
     mu_cap = MU_CAP_FACTOR * mu
 
-    # dual ascent seed: Y_0 = D / max(||D||_2, ||D||_inf / eta)
-    Y = D / max(norm2, d_max / eta)
-    T = np.empty_like(Y)               # the SVT input, then SVT's output L
-    w = np.empty(CHUNK, Y.dtype)       # W = Y/mu + D, then mu R
-    r = np.empty(CHUNK, Y.dtype)       # W - L, then R = D - L - S
-    a = np.empty(CHUNK, Y.real.dtype)  # the shrinkage scale of W - L
+    # dual ascent seed Y_0 = D / c, c = max(||D||_2, ||D||_inf / eta), and S_0 = 0,
+    # so the first SVT input is T_1 = Y_0/mu_0 + D = s D, whose spectrum is D's times s
+    scale = 1.0 + 1.0 / (max(norm2, d_max / eta) * mu)
+    np.multiply(D, scale, out=T)
+    spectrum = scale * spectrum[0], spectrum[1]
     # S as its kept entries: per chunk, their offsets in it and their values
     offset = np.min_scalar_type(CHUNK - 1)
-    kept = [(np.empty(0, offset), np.empty(0, Y.dtype))] * -(-Y.size // CHUNK)
+    kept = [(np.empty(0, offset), np.empty(0, D.dtype))] * -(-D.size // CHUNK)
     converged = False
     residual = np.inf
     trace = []
     it = 0
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
-        for (d, y, t), (k, v) in zip(_chunks(D, Y, T), kept):  # T = (Y/mu + D) - S
-            _divide(y, mu, out=t)
-            t += d
-            k = k.astype(np.intp)  # one conversion for both indexings of t[k] -= v
-            t[k] -= v
-        svt_start = time.perf_counter()
-        L, sv = singular_value_threshold(T, 1.0 / mu, out=T)
+        if spectrum is None:
+            L, sv = singular_value_threshold(T, 1.0 / mu, out=L)
+        else:  # 1/mu_0 = ||D||_2 / MU0_FACTOR: above SVT's exact-route guard for any n < 2e9
+            L, sv = _threshold_product(T, *spectrum, 1.0 / mu, out=L)
+            spectrum = None  # free U before the next SVT
         rank = int(np.count_nonzero(sv > 1e-9 * sv.max(initial=0.0)))
         svt_end = time.perf_counter()
+        mu_next = min(RHO * mu, mu_cap)
+        ratio = mu / mu_next
         sq_norm, nnz = 0.0, 0
-        for i, (d, y, l) in enumerate(_chunks(D, Y, L)):
+        for i, ((d, t, l), (k, v)) in enumerate(zip(_chunks(D, T, L), kept)):
             n = d.size
-            wc, rc, ac = w[:n], r[:n], a[:n]
-            _divide(y, mu, out=wc)                         # W = Y/mu + D
-            wc += d
-            # S = soft_threshold(W - L, eta/mu), kept where the scale is positive
+            vc, rc, ac = v_buf[:n], r[:n], a[:n]
+            # V = W - L = T + S_old - L, W = Y/mu + D
+            np.subtract(t, l, out=vc)
+            vc[k.astype(np.intp)] += v
+            # S = soft_threshold(V, eta/mu), kept where the scale is positive
             # (the nonzeros of a bool mask are found 4x faster than of the scale)
-            np.subtract(wc, l, out=rc)
-            k = np.flatnonzero(_shrink_scale(rc, eta / mu, out=ac) > 0)
-            v = rc[k] * ac[k]
+            k = np.flatnonzero(_shrink_scale(vc, eta / mu, out=ac) > 0)
+            v = vc[k] * ac[k]
             kept[i] = k.astype(offset), v
             nnz += np.count_nonzero(v)
             np.subtract(d, l, out=rc)                      # R = D - L - S
             rc[k] -= v
             sq_norm += np.vdot(rc, rc).real
-            y += np.multiply(rc, mu, out=wc)
+            # T' = Y'/mu' + D - S with Y'/mu = Y/mu + R = V - S
+            vc[k] -= v
+            np.multiply(vc, ratio, out=t)
+            t += d
+            t[k] -= v
         residual = np.sqrt(sq_norm) / norm_f
         trace.append({"residual": float(residual), "mu": mu, "nnz": int(nnz), "rank": rank,
-                      "svt_s": svt_end - svt_start,
-                      "pass_s": svt_start - start + time.perf_counter() - svt_end})
+                      "svt_s": svt_end - start, "pass_s": time.perf_counter() - svt_end})
         # require two sweeps: a degenerate first iterate can zero the residual
         # before the thresholded split has settled
         if residual <= config.tol and it >= 2:
             converged = True
             break
-        mu = min(RHO * mu, mu_cap)
+        mu = mu_next
 
-    del Y, y  # the last pass's chunk view keeps Y alive: free it before S is built
-    S = np.zeros_like(L)
+    S = T  # the last T' is not needed: S is built in its buffer
     for (s,), (k, v) in zip(_chunks(S), kept):
+        s.fill(0)
         s[k] = v
     return Decomposition(
         L=L, S=S, iterations=it, residual=float(residual), rank=rank,

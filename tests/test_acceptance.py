@@ -254,7 +254,7 @@ def test_criterion_11_gotcha_end_to_end():
                      t0=fast_times(sc)[0])
     mover = next(t for t in sc.targets if not t.stationary)
     star = eta_bounds_baseband(ApertureParams.from_scenario(sc, mover.velocity)).eta_star
-    # the solve and its scores hold at most Y, L, S's kept entries and then
+    # the solve and its scores hold at most T, L, S's kept entries and then
     # L and S, beside the caller's DB (allocated before the trace starts)
     tracemalloc.start()
     try:

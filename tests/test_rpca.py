@@ -51,6 +51,51 @@ def decompose_reference(D, config):
         converged=converged)
 
 
+def decompose_t_state(D, config):
+    """decompose's loop over whole arrays: the SVT input T is the state, not Y.
+
+    With T = Y/mu + D - S_old, the shrink input is V = W - L = T + S_old - L
+    and the next SVT input is T' = (mu/mu') (V - S) + D - S.  The first T is
+    s D, thresholded with D's spectrum scaled by s.
+    """
+    D = np.ascontiguousarray(D)
+    eta = config.eta
+    sig, U = rpca._gram_spectrum(rpca._gram(rpca._short_side(D)[0]))
+    norm2 = float(sig[-1])
+    norm_f = np.linalg.norm(D)
+    mu = rpca.MU0_FACTOR / norm2
+    mu_cap = MU_CAP_FACTOR * mu
+    scale = 1.0 + 1.0 / (max(norm2, np.max(np.abs(D)) / eta) * mu)
+    T = D * scale
+    L = rpca._threshold_product(T, scale * sig, U, 1.0 / mu)[0]
+    S = np.zeros_like(D)
+    converged = False
+    for it in range(1, config.max_iter + 1):
+        if it > 1:
+            L = singular_value_threshold(T, 1.0 / mu)[0]
+        mu_next = min(RHO * mu, mu_cap)
+        V = T - L
+        V += S
+        S = soft_threshold(V, eta / mu)
+        R = D - L
+        R -= S
+        residual = np.linalg.norm(R) / norm_f
+        V -= S
+        T = V * (mu / mu_next)
+        T += D
+        T -= S
+        if residual <= config.tol and it >= 2:
+            converged = True
+            break
+        mu = mu_next
+    sig = singular_values(L)
+    rank = int(np.sum(sig > sig[0] * 1e-9)) if sig.size and sig[0] > 0 else 0
+    return Decomposition(
+        L=L, S=S, iterations=it, residual=float(residual), rank=rank,
+        sparse_count=np.count_nonzero(S),
+        converged=converged)
+
+
 def low_rank_plus_sparse(n1, n2, rank, complex_, density, seed):
     rng = np.random.default_rng(seed)
 
@@ -378,6 +423,14 @@ def test_real_input_gives_real_output():
     assert not np.iscomplexobj(out.S)
 
 
+def test_integer_input_is_solved_as_float():
+    D = np.random.default_rng(14).integers(-5, 5, (20, 60))
+    config = RpcaConfig(eta=conventional_eta(*D.shape))
+    a, b = decompose(D, config), decompose(D.astype(float), config)
+    assert a.L.dtype == a.S.dtype == float
+    assert np.array_equal(a.L, b.L) and np.array_equal(a.S, b.S)
+
+
 def test_constraint_residual_on_success():
     rng = np.random.default_rng(7)
     D = rng.standard_normal((40, 50))
@@ -407,7 +460,7 @@ def test_non_finite_matrix_rejected_before_any_spectrum(entry, monkeypatch):
     D = low_rank_plus_sparse(10, 30, 2, True, 0.05, seed=26)
     D[3, 4] = entry
     spectra = []
-    monkeypatch.setattr(rpca, "spectral_norm", lambda M: spectra.append(M.shape))
+    monkeypatch.setattr(rpca, "_gram", lambda A: spectra.append(A.shape))
     with pytest.raises(ConfigError):
         decompose(D, RpcaConfig(eta=conventional_eta(*D.shape)))
     assert spectra == []
@@ -487,12 +540,16 @@ CHUNKED_INPUTS = {
 }
 
 
+def relative_error(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("name", sorted(CHUNKED_INPUTS))
 def test_chunked_pass_matches_whole_array_loop(name):
     D = CHUNKED_INPUTS[name]
     assert D.size > 10 * rpca.CHUNK
     config = RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-7)
-    ref = decompose_reference(D, config)
+    ref = decompose_t_state(D, config)
     out = decompose(D, config)
     # the same elementwise operations on every entry: only the residual's
     # summation order differs
@@ -504,6 +561,59 @@ def test_chunked_pass_matches_whole_array_loop(name):
     assert out.residual == pytest.approx(ref.residual, rel=1e-12, abs=0.0)
     sig = np.linalg.svd(out.L, compute_uv=False)
     assert out.rank == np.count_nonzero(sig > 1e-9 * sig[0])
+    # the textbook loop carries Y: T-state rounding differs from it, not the split
+    text = decompose_reference(D, config)
+    assert (out.iterations, out.rank, out.sparse_count, out.converged) == \
+        (text.iterations, text.rank, text.sparse_count, text.converged)
+    assert relative_error(out.L, text.L) <= 1e-12
+    assert relative_error(out.S, text.S) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["imaginary", "real", "tall-complex", "wide-complex"])
+def test_t_state_does_not_drift_at_the_mu_cap(name):
+    # 150 iterations, about 100 of them at the cap, where mu/mu' = 1 no longer
+    # damps the rounding of the implicit dual Y/mu = T - D + S
+    D = CHUNKED_INPUTS[name]
+    config = RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-300, max_iter=150)
+    out = decompose(D, config)
+    text = decompose_reference(D, config)
+    assert out.trace[-1]["mu"] == MU_CAP_FACTOR * out.trace[0]["mu"]
+    assert (out.rank, out.sparse_count) == (text.rank, text.sparse_count)
+    assert relative_error(out.L, text.L) <= 1e-12
+    assert relative_error(out.S, text.S) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, complex_", [((20, 300), True), ((300, 20), True),
+                                             ((20, 300), False)],
+                         ids=["wide", "tall", "real"])
+def test_first_svt_thresholds_the_scaled_input(shape, complex_):
+    # Y_0 = D / c and S_0 = 0, so T_1 = Y_0/mu_0 + D = s D, s = 1 + 1/(c mu_0)
+    D = low_rank_plus_sparse(*shape, 2, complex_, 0.05, seed=28)
+    eta = conventional_eta(*D.shape)
+    norm2 = spectral_norm(D)
+    mu = rpca.MU0_FACTOR / norm2
+    s = 1.0 + 1.0 / (max(norm2, np.max(np.abs(D)) / eta) * mu)
+    ref = singular_value_threshold(s * D, 1.0 / mu)[0]
+    out = decompose(D, RpcaConfig(eta=eta, max_iter=1))
+    assert out.L.dtype == ref.dtype
+    assert np.linalg.norm(out.L - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_one_gram_matrix_and_one_pass_per_iteration(monkeypatch):
+    D = low_rank_plus_sparse(20, 3000, 2, True, 0.05, seed=24)
+    grams, spectra, passes = [], [], []
+    gram, gram_spectrum, chunks = rpca._gram, rpca._gram_spectrum, rpca._chunks
+    monkeypatch.setattr(rpca, "_gram", lambda A: grams.append(A.shape) or gram(A))
+    monkeypatch.setattr(rpca, "_gram_spectrum",
+                        lambda G: spectra.append(G.shape) or gram_spectrum(G))
+    monkeypatch.setattr(rpca, "_chunks", lambda *a: passes.append(len(a)) or chunks(*a))
+    out = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-4))
+    assert out.converged and out.iterations > 5
+    # D's Gram matrix gives ||D||_2 and the first SVT: every SVT is a Gram-route
+    # step after that, so one Gram matrix and one eigh per iteration
+    assert len(grams) == len(spectra) == out.iterations
+    # ||D||_inf, one elementwise pass per iteration and the dense S
+    assert passes == [1] + [3] * out.iterations + [1]
 
 
 def traced_decompose(D, eta):
@@ -517,11 +627,11 @@ def traced_decompose(D, eta):
 
 
 def test_decompose_peak_memory():
-    # while it iterates, decompose holds Y, one buffer shared by the SVT input
-    # T and its output L, and S as its kept entries (an offset of 2 bytes and
-    # a value each); Y is freed before the dense S is built.  A dense S while
-    # it iterates, a second L, a full-size real copy of T for the Gram matrix,
-    # a stored W = Y/mu + D or full-size shrinkage temporaries push this past 2.5
+    # while it iterates, decompose holds the SVT input T, SVT's output L and S
+    # as its kept entries (an offset of 2 bytes and a value each); the dense S
+    # is built in T's buffer.  A dense S while it iterates, a stored Y or V, a
+    # full-size real copy of T for the Gram matrix, a full-size |D| or
+    # full-size shrinkage temporaries push this past 2.5
     D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
     out, peak = traced_decompose(D, conventional_eta(*D.shape))
     assert out.converged
