@@ -168,17 +168,26 @@ class SeparationMetrics:
                 "s_cosine": self.s_cosine, "residual": self.residual}
 
 
-def _score(X, synth, scenario) -> tuple[float | None, float | None]:
+def score_class(X, scenario: Scenario, subset) -> tuple[float | None, float | None]:
     """(||X - R|| / ||R||, |<X, R>| / (||X|| ||R||)), None for a zero denominator.
 
-    The reference R = synth(scenario) is synthesized SCORE_ROWS rows at a
-    time, and each sum is taken over the blocks, so no full-size array is
-    made: a block of R is overwritten with R - X.
+    The reference R is one target class of the scene, `subset(scenario)` with
+    subset `Scenario.moving_only` or `Scenario.stationary_only`, synthesized
+    on the full scene's gate in the field of X (complex: baseband model;
+    real: down-ramped model).  R is synthesized SCORE_ROWS rows at a time,
+    and each sum is taken over the blocks, so no full-size array is made: a
+    block of R is overwritten with R - X.
     """
+    X = np.asarray(X)
+    synth = synthesize_baseband_direct if np.iscomplexobj(X) else synthesize_downramped
+    # pin the full scene's gate so subset matrices share the column grid
+    t0, t1 = fast_time_gate(scenario)
+    grid = SamplingGrid(delta_t=scenario.sampling.delta_t, gate_start=t0, gate_end=t1)
+    reference = subset(replace(scenario, sampling=grid))
     rr = xx = xr = dd = 0.0
-    for first in range(0, scenario.platform.pulse_count, SCORE_ROWS):
+    for first in range(0, reference.platform.pulse_count, SCORE_ROWS):
         rows = slice(first, first + SCORE_ROWS)
-        R, Xb = synth(scenario, rows=rows), X[rows]
+        R, Xb = synth(reference, rows=rows), X[rows]
         rr += np.vdot(R, R).real
         xx += np.vdot(Xb, Xb).real
         xr += np.vdot(Xb, R)
@@ -194,18 +203,11 @@ def _score(X, synth, scenario) -> tuple[float | None, float | None]:
 def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
     """Score S against the moving-only and L against the stationary-only reference.
 
-    References are synthesized from the scenario's target subsets on the
-    full scene's gate, in the field matching S (complex: baseband model;
-    real: down-ramped model).  Each is synthesized and scored SCORE_ROWS
-    rows at a time, so no full-size array is added to S and L.
+    Two calls of `score_class`, S's first: each reference is synthesized
+    and scored SCORE_ROWS rows at a time, so no full-size array is added to
+    S and L.
     """
-    S, L = np.asarray(decomposition.S), np.asarray(decomposition.L)
-    synth = synthesize_baseband_direct if np.iscomplexobj(S) else synthesize_downramped
-    # pin the full scene's gate so subset matrices share the column grid
-    t0, t1 = fast_time_gate(scenario)
-    grid = SamplingGrid(delta_t=scenario.sampling.delta_t, gate_start=t0, gate_end=t1)
-    pinned = replace(scenario, sampling=grid)
-    s_error, s_cosine = _score(S, synth, pinned.moving_only())
-    l_error, _ = _score(L, synth, pinned.stationary_only())
+    s_error, s_cosine = score_class(decomposition.S, scenario, Scenario.moving_only)
+    l_error, _ = score_class(decomposition.L, scenario, Scenario.stationary_only)
     return SeparationMetrics(s_error=s_error, l_error=l_error, s_cosine=s_cosine,
                              residual=decomposition.residual)

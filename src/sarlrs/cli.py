@@ -8,14 +8,19 @@ take their own short paths.
 
 RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` reads D
 through the same band extraction as `baseband.to_baseband` and puts DB onto as
-many columns as that band has DFT bins, and `baseband.from_solve_grid` moves L
-and S back onto the gate's columns, so the written matrices keep DB's shape.
-`pipeline` writes the DB, L and S rows of spectra.csv from the short-grid
-matrices the solve already holds.
+many columns as that band has DFT bins, and `baseband.from_solve_grid` moves
+that grid's DB, L and S onto the gate's columns, so the written matrices keep
+the gate's shape.  The run holds at most one gate-length matrix at a time: D
+is read once for its band (and, in `pipeline`, its spectrum) and dropped, and DB, L and S are
+each mapped, written, imaged and scored in the stage that makes them, then
+dropped.  `pipeline` writes the DB, L and S rows of spectra.csv from the
+short-grid matrices the solve holds, and metrics.json from the scores of L
+and S.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
-outputs are written).
+outputs are written).  An S of zero is named in rpca_report.json's
+`degenerate` but exits 0: a scene with no mover gives it legitimately.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +50,7 @@ SWEEP_SPEEDS = (1.5, 2.4, 3.8, 6.0, 9.5, 15.0)
 
 STAGES = ("simulate", "baseband", "decompose", "pipeline")
 SOURCE_STAGE = {"D": "simulate", "DB": "baseband", "L": "decompose", "S": "decompose"}
+SCORED = {"L": Scenario.stationary_only, "S": Scenario.moving_only}  # metrics.json's classes
 
 
 def _load(args) -> Scenario:
@@ -114,30 +119,25 @@ def _build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-def _decompose(D: np.ndarray, sc: Scenario, t0: float, args, config: rpca.RpcaConfig,
-               eta_value: float, eta_mode: str):
-    """RPCA of DB = to_baseband(D) on its critically sampled grid, with L and S
-    mapped back to DB's.
+def _decompose(DB_K: np.ndarray, args, config: rpca.RpcaConfig, eta_value: float,
+               eta_mode: str):
+    """RPCA of DB's critically sampled grid DB_K, and the report for rpca_report.json.
 
-    The solve grid is read from D itself, so DB is not demixed or transformed
-    again.  The relative residual and the rank carry over exactly; nnz_S counts
-    S on the short grid (the mapped S is dense).  Returns the split, the report
-    written to rpca_report.json and summary.json, and the short-grid DB, L and
-    S, whose singular values are DB's, L's and S's times sqrt(K / m).
+    The split stays on DB_K's K columns: `_run` maps L and S onto DB's m
+    columns.  The relative residual and the rank carry over exactly; nnz_S
+    counts S on the short grid (the mapped S is dense).  `degenerate` names
+    a rank-0 L (all of DB in S) or an S of zero (all of DB in L), else it
+    is None.
     """
-    grid = (sc.pulse, sc.sampling.delta_t)
-    DB_K = baseband.to_solve_grid(D, *grid)
     dec = rpca.decompose_windowed(DB_K, args.windows, config)
-    short = {"DB": DB_K, "L": dec.L, "S": dec.S}
-    dec = replace(dec, L=baseband.from_solve_grid(dec.L, *grid, D.shape[1], t0=t0),
-                  S=baseband.from_solve_grid(dec.S, *grid, D.shape[1], t0=t0))
+    degenerate = ("rank-0 L: S holds all of DB" if dec.rank == 0 else
+                  "S = 0: L holds all of DB" if dec.sparse_count == 0 else None)
     report = {"eta": eta_value, "eta_mode": eta_mode, "windows": args.windows,
               "solve_columns": DB_K.shape[1], "iterations": dec.iterations,
               "residual": dec.residual, "rank_L": dec.rank, "nnz_S": dec.sparse_count,
-              "converged": dec.converged,
-              "degenerate": "rank-0 L: S holds all of DB" if dec.rank == 0 else None,
+              "converged": dec.converged, "degenerate": degenerate,
               "build": _build(), "trace": dec.trace}
-    return dec, report, short
+    return dec, report
 
 
 def _eta_bounds(sc: Scenario, m: int) -> dict:
@@ -202,6 +202,8 @@ def _run(args, last: str) -> int:
     """Run the stages simulate, baseband, decompose, pipeline in order, up to `last`.
 
     `last` == "image" runs up to the stage that makes --source, then images it.
+    Each gate-length matrix is written, imaged and scored in the stage that
+    makes it and then dropped, so at most one is held at a time.
     """
     sc = _load(args)
     t = simulate.fast_times(sc)
@@ -219,45 +221,54 @@ def _run(args, last: str) -> int:
     if last == "pipeline":
         images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
     grid = _grid(args, sc) if images else None
+    band = (sc.pulse, sc.sampling.delta_t)
     out = _outdir(args)
+    spectra, scores = {}, {}
+
+    def emit(name: str, M: np.ndarray, provenance: str) -> None:
+        """Write the gate-length matrix `name`, and image and score it where the run asks."""
+        matrixio.write_matrix(out / f"{name}.sarm", M, _meta(sc, provenance, args))
+        if name in images:
+            img = imaging.migrate(M, sc, grid, hypothesis_velocity=images[name], source=name)
+            _write_image(out, f"image_{name}", img)
+        if last == "pipeline" and name in SCORED:
+            scores[name] = analysis.score_class(M, sc, SCORED[name])
+
     ends = [("start", time.perf_counter())]  # (stage, when it ended)
     D = simulate.synthesize_downramped(sc)
-    matrixio.write_matrix(out / "D.sarm", D, _meta(sc, "simulate", args))
+    emit("D", D, "simulate")
     (out / "scenario.json").write_text(serialize_scenario(sc))
-    ends.append(("simulate", time.perf_counter()))
-    matrices, dec = {"D": D}, None
+    if last == "pipeline":
+        spectra["D"] = rpca.singular_values(D)
     if "baseband" in stages:
-        DB = matrices["DB"] = baseband.to_baseband(D, sc.pulse, sc.sampling.delta_t, t0=t[0])
-        matrixio.write_matrix(out / "DB.sarm", DB, _meta(sc, "baseband", args))
+        DB_K = baseband.to_solve_grid(D, *band)
+    del D
+    ends.append(("simulate", time.perf_counter()))
+    dec = None
+    if "baseband" in stages:
+        emit("DB", baseband.from_solve_grid(DB_K, *band, t.size, t0=t[0]), "baseband")
         ends.append(("baseband", time.perf_counter()))
     if "decompose" in stages:
-        dec, report, short = _decompose(D, sc, t[0], args, config, *eta_used)
-        matrices.update(L=dec.L, S=dec.S)
-        matrixio.write_matrix(out / "L.sarm", dec.L, _meta(sc, "decompose:L", args))
-        matrixio.write_matrix(out / "S.sarm", dec.S, _meta(sc, "decompose:S", args))
+        dec, report = _decompose(DB_K, args, config, *eta_used)
+        for name, M in (("L", dec.L), ("S", dec.S)):
+            emit(name, baseband.from_solve_grid(M, *band, t.size, t0=t[0]), f"decompose:{name}")
         _write_json(out / "rpca_report.json", report)
         ends.append(("decompose", time.perf_counter()))
-    if "pipeline" in stages:
-        # DB's, L's and S's spectra are those of the solve's short-grid matrices
-        # times sqrt(m / K).  They are taken before imaging so that the short-grid
-        # matrices can be dropped: held through `migrate`, they raised the scaled
-        # pipeline's peak RSS by about 2 MB.  The pipeline never images D, so D
-        # goes too.
-        scale = math.sqrt(DB.shape[1] / report["solve_columns"])
-        spectra = {"D": rpca.singular_values(D),
-                   **{name: scale * rpca.singular_values(M) for name, M in short.items()}}
-        del short, D, matrices["D"]
+    if last == "pipeline":
+        # the mapped DB, L and S have the short-grid spectra times sqrt(m / K)
+        scale = math.sqrt(t.size / DB_K.shape[1])
+        spectra.update((name, scale * rpca.singular_values(M))
+                       for name, M in (("DB", DB_K), ("L", dec.L), ("S", dec.S)))
         _write_csv(out / "spectra.csv", [
             {"matrix": name, "k": k, "sigma": float(s)}
             for name, sig in spectra.items()
             for k, s in enumerate(sig[:64])])
-    for name, v in images.items():
-        img = imaging.migrate(matrices[name], sc, grid, hypothesis_velocity=v, source=name)
-        _write_image(out, f"image_{name}", img)
-    if "pipeline" in stages:
         used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
         _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc, t.size)})
-        metrics = analysis.separation_metrics(dec, sc).as_dict()
+        (s_error, s_cosine), (l_error, _) = scores["S"], scores["L"]
+        metrics = analysis.SeparationMetrics(s_error=s_error, l_error=l_error,
+                                             s_cosine=s_cosine,
+                                             residual=dec.residual).as_dict()
         _write_json(out / "metrics.json", metrics)
         ends.append(("tail", time.perf_counter()))
         seconds = {stage: t - before for (_, before), (stage, t) in zip(ends, ends[1:])}
@@ -266,7 +277,7 @@ def _run(args, last: str) -> int:
                                            "seconds": seconds})
     if dec is not None and not dec.converged:
         raise NumericalError("RPCA did not converge within the iteration cap")
-    if dec is not None and report["degenerate"]:
+    if dec is not None and dec.rank == 0:
         raise NumericalError(f"RPCA returned {report['degenerate']}")
     return EXIT_OK
 

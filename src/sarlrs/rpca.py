@@ -282,9 +282,20 @@ def _chunks(*arrays):
         yield [f[start:start + CHUNK] for f in flat]
 
 
+def _solve_dtype(D: np.ndarray) -> np.dtype:
+    """float64 or complex128: narrower floats and integers are solved in double precision."""
+    return np.promote_types(D.dtype, np.float64)
+
+
 def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
+    """Split D into low-rank L plus sparse S at config's eta, to config's tol.
+
+    L and S are float64 for real D and complex128 for complex D, whatever D's
+    own precision: integers, float32 and complex64 are solved in double
+    precision, since the default tol 1e-7 lies below float32's resolution.
+    """
     D = np.asarray(D)
-    D = np.ascontiguousarray(D, np.result_type(D, 1.0))  # integers are solved as floats
+    D = np.ascontiguousarray(D, _solve_dtype(D))
     norm_f = np.linalg.norm(D)  # nan or inf when any entry is
     if not 0 < norm_f < math.inf:
         raise ConfigError("input matrix is zero or has non-finite entries")
@@ -368,14 +379,15 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
 def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decomposition:
     """Split rows into consecutive slow-time blocks and decompose each.
 
-    Every block is solved at the same config, so at the same eta.
+    Every block is solved at the same config, so at the same eta, and L and
+    S have `decompose`'s dtype.
     """
     D = np.asarray(D)
     if not isinstance(windows, numbers.Integral) or windows < 1 or windows > D.shape[0]:
         raise ConfigError("windows must be an integer in [1, row count]")
     edges = np.linspace(0, D.shape[0], windows + 1).astype(int)
-    L = np.zeros_like(D)
-    S = np.zeros_like(D)
+    L = np.zeros_like(D, _solve_dtype(D))
+    S = np.zeros_like(D, _solve_dtype(D))
     iters = 0
     rank = 0
     nnz = 0

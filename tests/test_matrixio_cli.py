@@ -11,12 +11,14 @@ import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sarlrs.rpca
 import sarlrs.simulate
+from sarlrs.analysis import separation_metrics
 from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
 from sarlrs.errors import ConfigError
 from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
@@ -318,14 +320,27 @@ def test_cli_conventional_eta_is_the_full_grid_value(tmp_path):
     assert report["eta"] == conventional_eta(101, 3000)
 
 
+def _traced_main(argv):
+    """main(argv) and the peak of what it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cli_decompose_gotcha_end_to_end(tmp_path):
     # the default gotcha run: `decompose` is a prefix of `pipeline`
     out = tmp_path / "run"
-    assert main(["pipeline", "--regime", "gotcha", "--eta", "optimal",
-                 "--out", str(out)]) == 0
+    rc, peak = _traced_main(["pipeline", "--regime", "gotcha", "--eta", "optimal",
+                             "--out", str(out)])
+    assert rc == 0
     DB, L, S = (read_matrix(out / f"{name}.sarm")[0] for name in ("DB", "L", "S"))
     for M in (L, S):
         assert M.dtype == np.complex128 and M.shape == (237, 32000)
+    # one gate-length matrix at a time: holding D, DB, L and S to the tail
+    # as well peaked at 3.7x DB's bytes
+    assert peak <= 1.5 * DB.nbytes
     assert np.linalg.norm(DB - L - S) <= 1e-7 * np.linalg.norm(DB)
     del DB
     docs = {p.name: _strict_json(p) for p in out.glob("*.json")}
@@ -369,6 +384,51 @@ def test_cli_bad_eta_value(tmp_path, eta):
     out = tmp_path / "x"
     assert main(["decompose", "--config", str(cfg), *eta, "--out", str(out)]) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_zero_s_is_flagged_but_exits_0(tmp_path):
+    # at eta 0.2 the shrinkage keeps no entry of the scaled scene's DB; a scene
+    # with no mover gives S = 0 legitimately, so only rank-0 L exits 3
+    out = tmp_path / "run"
+    assert main(["pipeline", "--regime", "scaled", "--eta", "0.2",
+                 "--grid-pixels", "5", "--out", str(out)]) == 0
+    report = _strict_json(out / "rpca_report.json")
+    assert report["nnz_S"] == 0 and report["rank_L"] >= 1 and report["converged"]
+    assert report["degenerate"] == "S = 0: L holds all of DB"
+    assert _strict_json(out / "metrics.json")["s_error"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["decompose", "pipeline"])
+def test_cli_holds_one_gate_length_matrix_at_a_time(tmp_path, command):
+    # D is dropped once its spectrum and band are read, and DB, L and S each
+    # once written, imaged and scored: holding them to the tail as well
+    # peaked at 3.7x (decompose) and 4.2x (pipeline) DB's bytes
+    out = tmp_path / "run"
+    rc, peak = _traced_main([command, "--regime", "scaled", "--eta", "optimal",
+                             "--out", str(out)])
+    assert rc == 0
+    assert peak <= 2.0 * read_matrix(out / "DB.sarm")[0].nbytes
+
+
+def test_cli_metrics_score_the_written_matrices(tmp_path):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--regime", "scaled", "--eta", "optimal",
+                 "--grid-pixels", "5", "--out", str(out)]) == 0
+    L, S = (read_matrix(out / f"{name}.sarm")[0] for name in ("L", "S"))
+    residual = _strict_json(out / "rpca_report.json")["residual"]
+    split = SimpleNamespace(L=L, S=S, residual=residual)
+    expected = separation_metrics(split, load_scenario(out / "scenario.json")).as_dict()
+    assert _strict_json(out / "metrics.json") == expected
+
+
+@pytest.mark.parametrize("source", ["D", "DB", "L", "S"])
+def test_cli_image_writes_only_its_own_image(tmp_path, source):
+    out = tmp_path / "run"
+    assert main(["image", "--regime", "scaled", "--source", source, "--eta", "optimal",
+                 "--grid-pixels", "5", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("image_*")) == [f"image_{source}.json",
+                                                         f"image_{source}.pgm"]
+    assert not (out / "metrics.json").exists() and not (out / "spectra.csv").exists()
 
 
 def test_cli_explicit_eta_is_scaled_onto_the_short_grid(tmp_path, monkeypatch):
