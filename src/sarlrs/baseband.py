@@ -10,9 +10,10 @@ Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
 
 `passband_bins` is the one definition of the band, and `_band` the one
 extraction of it from D.  `to_baseband` puts the band on the gate's m
-samples; `to_solve_grid` puts it on the critically sampled grid of K
-samples, and `from_solve_grid` moves that grid back onto the gate's.
-Only the gate side carries the mixer and its t0.
+samples; `to_solve_grid` puts it on the critically sampled, C-ordered grid
+of K samples, and `from_solve_grid` moves that grid back onto the gate's.
+`solve_grid_scale` is the one statement of how values change between the
+two grids.  Only the gate side carries the mixer and its t0.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ def passband_bins(m: int, pulse: Pulse, delta_t: float) -> np.ndarray:
     return k
 
 
+def solve_grid_scale(m: int, pulse: Pulse, delta_t: float) -> float:
+    """sqrt(m / K), K the size of `passband_bins(m, ...)`: the solve grid's scale rule.
+
+    `from_solve_grid` scales every singular value by sqrt(m / K), and the l1
+    norm of a sparse trace by about m / K, so an eta chosen on the gate's
+    grid is eta * sqrt(m / K) on the solve grid, and a solve-grid spectrum
+    times sqrt(m / K) is the gate grid's.  Raises `PhysicsError` when no bin
+    lies in the band.
+    """
+    return float(np.sqrt(m / passband_bins(m, pulse, delta_t).size))
+
+
 def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
     """The real D's m-point DFT values (norm="forward") on `passband_bins`, with gain
     PASSBAND_GAIN, and those bins: the passband both grids are built from."""
@@ -68,8 +81,8 @@ def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
     if w0 * delta_t >= np.pi:
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
     k = passband_bins(D.shape[1], pulse, delta_t)
-    # a real row's bin -j is the conjugate of its rfft bin j
-    half = np.fft.rfft(D, axis=1, norm="forward")[:, np.abs(k)]
+    # a real row's bin -j is the conjugate of its rfft bin j; `take` keeps C order
+    half = np.take(np.fft.rfft(D, axis=1, norm="forward"), np.abs(k), axis=1)
     return PASSBAND_GAIN * np.where(k < 0, half.conj(), half), k
 
 
@@ -78,9 +91,10 @@ def to_solve_grid(D: np.ndarray, pulse: Pulse, delta_t: float) -> np.ndarray:
 
     The value on bin k of `_band` goes to bin k mod K of a K-point inverse
     FFT, which samples the row of D_B, demixed by exp(-1j w0 t), every m / K
-    columns.  The map is exact, linear per row, and scales every singular
-    value by sqrt(K / m).  The grid has no mixer: unit column phases change
-    no singular value or modulus.
+    columns.  The map is exact and linear per row (`solve_grid_scale` states
+    its scale), and the grid is C-ordered, so `rpca.decompose` solves it
+    without a copy.  The grid has no mixer: unit column phases change no
+    singular value or modulus.
     """
     band, bins = _band(D, pulse, delta_t)
     return np.fft.ifft(np.roll(band, bins[0], axis=1), axis=1, norm="forward")

@@ -8,14 +8,21 @@ take their own short paths.
 
 RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` reads D
 through the same band extraction as `baseband.to_baseband` and puts DB onto as
-many columns as that band has DFT bins, and `baseband.from_solve_grid` moves
-that grid's DB, L and S onto the gate's columns, so the written matrices keep
-the gate's shape.  The run holds at most one gate-length matrix at a time: D
-is read once for its band (and, in `pipeline`, its spectrum) and dropped, and DB, L and S are
-each mapped, written, imaged and scored in the stage that makes them, then
-dropped.  `pipeline` writes the DB, L and S rows of spectra.csv from the
-short-grid matrices the solve holds, and metrics.json from the scores of L
-and S.
+many columns as that band has DFT bins, C-ordered, so the solve takes it
+without a copy, and `baseband.from_solve_grid` moves that grid's DB, L and S
+onto the gate's columns, so the written matrices keep the gate's shape.  The
+CLI knows nothing of that grid's scale: it asks `baseband.solve_grid_scale`
+once, and uses that one value to put the gate-grid eta onto the solve grid
+and the short-grid spectra back onto the gate's.  The run holds at most one
+gate-length matrix at a time: D is read once for its band (and, in
+`pipeline`, its spectrum) and dropped, and DB, L and S are each mapped,
+written, imaged and scored in the stage that makes them, then dropped.
+`pipeline` writes the DB, L and S rows of spectra.csv from the short-grid
+matrices the solve holds, and metrics.json from the scores of L and S.
+
+Every command that takes --eta and --windows checks both, whatever stage it
+stops at: --eta's syntax as argparse reads it, --windows against the scene's
+pulse count.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
@@ -65,14 +72,6 @@ def _load(args) -> Scenario:
     raise ConfigError("either --config or --regime is required")
 
 
-def _meta(sc: Scenario, provenance: str, args) -> dict:
-    return {
-        "scenario_hash": scenario_hash(sc),
-        "regime": args.regime or "custom",
-        "provenance": provenance,
-    }
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,31 +85,24 @@ def _first_mover(sc: Scenario) -> Target:
     raise ConfigError("scenario has no moving target")
 
 
-def _resolve_eta(mode: str, sc: Scenario, m: int) -> tuple[float, str]:
+def _eta_mode(text: str) -> str | float:
+    """--eta's syntax, checked as argparse reads it: 'conventional', 'optimal', or an
+    eta `rpca.RpcaConfig` accepts (a finite, positive number)."""
+    try:
+        return text if text in ("conventional", "optimal") else rpca.RpcaConfig(float(text)).eta
+    except (ValueError, ConfigError):
+        raise argparse.ArgumentTypeError("must be 'conventional', 'optimal', or a finite, "
+                                         f"positive number, got '{text}'") from None
+
+
+def _resolve_eta(mode: str | float, sc: Scenario, m: int) -> tuple[float, str]:
+    """An --eta mode's value on the gate's grid of m columns, and its name."""
     if mode == "conventional":
         return eta.conventional_eta(sc.platform.pulse_count, m), "conventional"  # D's shape
     if mode == "optimal":
         params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
         return eta.eta_bounds_baseband(params).eta_star, "analytic-optimal"
-    try:
-        value = float(mode)
-    except ValueError:
-        raise ConfigError(f"--eta must be 'conventional', 'optimal', or a number, got '{mode}'")
-    return value, "explicit"  # `_solve_config` checks it
-
-
-def _solve_config(sc: Scenario, m: int, eta_value: float) -> rpca.RpcaConfig:
-    """The RPCA settings on the critically sampled grid of DB's m columns.
-
-    The map from the grid of the K kept bins to DB's m columns scales
-    singular values by sqrt(m / K), and an l1 norm of a sparse trace by
-    about m / K, so the full-grid eta becomes eta * sqrt(m / K) on the short
-    grid.  Both m and K follow from the scene, so a value that overflows
-    there, or a band with no bin (`PhysicsError`), is rejected before any
-    stage writes.
-    """
-    K = baseband.passband_bins(m, sc.pulse, sc.sampling.delta_t).size
-    return rpca.RpcaConfig(eta=eta_value * math.sqrt(m / K))
+    return mode, "explicit"
 
 
 def _build() -> dict:
@@ -207,27 +199,30 @@ def _run(args, last: str) -> int:
     """
     sc = _load(args)
     t = simulate.fast_times(sc)
-    # bad --velocity, --eta, --windows or grid options are configuration errors,
-    # and an empty passband a physics error, before any stage writes
+    # bad --velocity, --windows or grid options (or an --eta, already at parsing) are
+    # configuration errors, and an empty passband a physics error, before any stage writes
     images = {}
     if last == "image":
         last, images = SOURCE_STAGE[args.source], {args.source: _velocity(args.velocity)}
     stages = STAGES[:STAGES.index(last) + 1]
-    if "decompose" in stages and not 1 <= args.windows <= sc.platform.pulse_count:
+    band = (sc.pulse, sc.sampling.delta_t)
+    if "windows" in args and not 1 <= args.windows <= sc.platform.pulse_count:
         raise ConfigError("--windows must be in [1, pulse count]")
     if "decompose" in stages:
         eta_used = _resolve_eta(args.eta, sc, t.size)
-        config = _solve_config(sc, t.size, eta_used[0])
+        scale = baseband.solve_grid_scale(t.size, *band)  # the one value for eta and spectra
+        config = rpca.RpcaConfig(eta=eta_used[0] * scale)  # rejects an overflow
     if last == "pipeline":
         images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
     grid = _grid(args, sc) if images else None
-    band = (sc.pulse, sc.sampling.delta_t)
     out = _outdir(args)
     spectra, scores = {}, {}
 
     def emit(name: str, M: np.ndarray, provenance: str) -> None:
         """Write the gate-length matrix `name`, and image and score it where the run asks."""
-        matrixio.write_matrix(out / f"{name}.sarm", M, _meta(sc, provenance, args))
+        matrixio.write_matrix(out / f"{name}.sarm", M, {
+            "scenario_hash": scenario_hash(sc), "regime": args.regime or "custom",
+            "provenance": provenance})
         if name in images:
             img = imaging.migrate(M, sc, grid, hypothesis_velocity=images[name], source=name)
             _write_image(out, f"image_{name}", img)
@@ -255,8 +250,7 @@ def _run(args, last: str) -> int:
         _write_json(out / "rpca_report.json", report)
         ends.append(("decompose", time.perf_counter()))
     if last == "pipeline":
-        # the mapped DB, L and S have the short-grid spectra times sqrt(m / K)
-        scale = math.sqrt(t.size / DB_K.shape[1])
+        # the mapped DB, L and S have the short-grid spectra times the grid's scale
         spectra.update((name, scale * rpca.singular_values(M))
                        for name, M in (("DB", DB_K), ("L", dec.L), ("S", dec.S)))
         _write_csv(out / "spectra.csv", [
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in scenario to use when --config is absent")
         p.add_argument("--out", default="runs/latest", help="output directory")
         if name in ("decompose", "image", "pipeline"):
-            p.add_argument("--eta", default="conventional",
+            p.add_argument("--eta", default="conventional", type=_eta_mode,
                            help="conventional | optimal | explicit value")
             p.add_argument("--windows", type=int, default=1,
                            help="consecutive slow-time blocks for RPCA")

@@ -6,10 +6,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sarlrs.baseband import (from_baseband, from_solve_grid, passband_bins, to_baseband,
-                             to_solve_grid)
+from sarlrs.baseband import (from_baseband, from_solve_grid, passband_bins, solve_grid_scale,
+                             to_baseband, to_solve_grid)
 from sarlrs.cli import main
-from sarlrs.errors import CarrierAliased, ConfigError
+from sarlrs.errors import CarrierAliased, ConfigError, PhysicsError
 from sarlrs.rpca import singular_values
 from sarlrs.scenario import Pulse, SamplingGrid, load_scenario
 from sarlrs.simulate import (fast_time_gate, fast_times, synthesize_baseband_direct,
@@ -214,3 +214,33 @@ def test_shipped_scenes_match_the_direct_baseband_model(regime):
                                                gate_start=t0, gate_end=t1))
     direct = synthesize_baseband_direct(pinned)
     assert np.max(np.abs(DB - direct)) <= 3e-9 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("regime, m, kept", [("scaled", 3000, 135), ("gotcha", 32000, 956)])
+def test_solve_grid_scale_maps_the_solve_grid_spectrum(regime, m, kept):
+    sc = _shipped(regime)
+    dt = sc.sampling.delta_t
+    scale = solve_grid_scale(m, sc.pulse, dt)
+    assert scale == np.sqrt(m / kept)
+    D = synthesize_downramped(sc)
+    full = singular_values(to_baseband(D, sc.pulse, dt, t0=fast_times(sc)[0]))
+    short = singular_values(to_solve_grid(D, sc.pulse, dt))
+    assert np.max(np.abs(scale * short - full)) <= 1e-12 * full[0]
+
+
+def test_solve_grid_scale_rejects_an_empty_band():
+    # 8 samples 3.75e-10 s apart put their bins 333 MHz apart: none lies within
+    # 6B = 6 MHz of the 200 MHz carrier
+    pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e6)
+    with pytest.raises(PhysicsError):
+        solve_grid_scale(8, pulse, 3.75e-10)
+
+
+@pytest.mark.parametrize("regime", ["scaled", "gotcha"])
+def test_solve_grid_is_c_ordered(regime):
+    # the solve takes the CLI's grid as it is: `decompose`'s contiguous view
+    # of it is the grid itself, not a copy
+    sc = _shipped(regime)
+    DB_K = to_solve_grid(synthesize_downramped(sc), sc.pulse, sc.sampling.delta_t)
+    assert DB_K.flags.c_contiguous
+    assert np.shares_memory(np.ascontiguousarray(DB_K, np.complex128), DB_K)

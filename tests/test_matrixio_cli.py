@@ -473,9 +473,15 @@ def test_cli_unusable_scene_fails_before_any_output(tmp_path, capsys, command, m
     ["image", "--grid-pixels", "5", "--grid-extent", "inf"],
     ["image", "--grid-pixels", "5", "--velocity", "nan,0,0"],
     ["image", "--grid-pixels", "5", "--velocity", "0,-inf,0"],
+    # --source D and DB never solve, but take --eta and --windows all the same
+    ["image", "--source", "D", "--eta", "bogus", "--windows", "-3"],
+    ["image", "--source", "D", "--windows", "102"],
+    ["image", "--source", "DB", "--eta", "nan"],
+    ["image", "--source", "DB", "--windows", "0"],
 ], ids=["decompose-windows-0", "decompose-windows-102", "pipeline-grid-pixels-1",
         "image-windows-0", "image-extent-nan", "image-extent-inf", "image-velocity-nan",
-        "image-velocity-inf"])
+        "image-velocity-inf", "image-D-eta-bogus-windows-neg", "image-D-windows-102",
+        "image-DB-eta-nan", "image-DB-windows-0"])
 def test_cli_bad_settings_fail_before_any_output(tmp_path, argv):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
@@ -573,6 +579,18 @@ def test_cli_image_bad_velocity_is_config_error(tmp_path):
     for velocity in ("a,b,c", "1,2"):
         assert main(["image", "--config", str(cfg), "--velocity", velocity,
                      "--out", str(tmp_path / "x")]) == 1
+
+
+def test_cli_image_of_d_takes_optimal_eta_without_a_mover(tmp_path):
+    # --eta optimal needs a mover only where the solve runs
+    doc = json.loads(_scaled_config(tmp_path).read_text())
+    doc["targets"] = [t for t in doc["targets"] if not any(t["velocity_mps"])]
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["image", "--config", str(cfg), "--source", "D", "--eta", "optimal",
+                 "--grid-pixels", "5", "--out", str(out)]) == 0
+    assert (out / "image_D.pgm").exists()
 
 
 def test_cli_image_zero_background_writes_strict_json(tmp_path):
