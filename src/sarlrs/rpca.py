@@ -46,15 +46,15 @@ L.  While it iterates, `decompose` holds S as its kept entries: per slice,
 their offsets in the narrowest unsigned type that holds CHUNK - 1 (uint16)
 and their values, so even a fully dense S costs at most 18/16 of a dense
 complex array.  Per slice the pass forms V (adding S_old at its offsets),
-the shrinkage scale of V (`_shrink_scale`, the formula of `soft_threshold`),
-S's kept entries where it is positive and their values, R = D - L - S with
-its squared norm summed, and writes T' over T.  SVT writes L into its own
-buffer, so D, T and L are the only full-size arrays; V, R and the scale
-exist only a slice at a time, and the dense S is built in T's buffer after
-the last iteration.  The dual is implicit, Y/mu = T - D + S: its rounding is
-damped by mu/mu' each iteration and grows at most linearly once mu reaches
-its cap, so over 150 iterations, about 100 at the cap, L and S stayed
-within 1.3e-15 relative of a whole-array loop that carries Y.
+S's kept entries and their values (`_kept`, the rule of `soft_threshold`),
+R = D - L - S with its squared norm summed, and writes T' over T, in 8
+operations over the whole slice.  SVT writes L into its own buffer, so D, T
+and L are the only full-size arrays; V, R and |V| exist only a slice at a
+time, and the dense S is built in T's buffer after the last iteration.
+The dual is implicit, Y/mu = T - D + S: its rounding is damped by mu/mu'
+each iteration and grows at most linearly once mu reaches its cap, so over
+150 iterations, about 100 at the cap, L and S stayed within 1.3e-15
+relative of a whole-array loop that carries Y.
 
 Y_0 = D / c and S_0 = 0, so the first SVT input is T_1 = s D, s = 1 +
 1/(c mu_0).  One Gram spectrum of D gives ||D||_2 (its top value, the value
@@ -63,9 +63,7 @@ singular values times s and its U through SVT's product step
 (`_threshold_product`); no Gram matrix or eigh of T_1 is taken.  CHUNK was
 set by timing the pass on a 237 x 31674 complex matrix (2 vCPU, medians of
 five): 8192 entries was fastest, 4096 3 % slower, 16384 to 65536 12-27 %
-slower, and whole arrays twice as slow.  On the seed-0 237 x 32000 gotcha
-solve (11 iterations at tol 1e-2) the passes took 1.3-1.7 s against 1.8-2.5 s
-for the two passes per iteration of the loop that carried Y.
+slower, and whole arrays twice as slow.
 """
 
 from __future__ import annotations
@@ -121,31 +119,36 @@ class Decomposition:
     trace: list = field(default_factory=list)  # one dict per iteration
 
 
-def _shrink_scale(a: np.ndarray, eta: float, out=None) -> np.ndarray:
-    """max(1 - eta / |a|, 0), the real factor of magnitude shrinkage, in `out` when given.
+def _kept(a: np.ndarray, eta: float, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the entries of the flat `a` with |a| > eta, and a (1 - eta / |a|) there.
 
-    No placeholder phase: exact zeros and ties map to 0.
+    |a| is written into the real `scratch`.  For eta > 0 the test |a| > eta
+    equals 1 - fl(eta / |a|) > 0: an |a| one ulp above eta gives a quotient
+    of at most 1 - 2^-53.  Only kept entries are divided, so zeros, ties and
+    subnormals below eta raise no divide or overflow.
     """
-    scale = np.abs(a, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(eta, scale, out=scale)  # inf at zeros, nan at 0 / 0
-    np.subtract(1.0, scale, out=scale)
-    return np.fmax(scale, 0.0, out=scale)  # fmax maps the nan to 0
+    np.abs(a, out=scratch)
+    k = np.flatnonzero(scratch > eta)
+    return k, a[k] * (1.0 - eta / scratch[k])
 
 
 def soft_threshold(a, eta: float, out=None):
     """Magnitude shrinkage that keeps the complex argument.
 
-    For real input this is the usual sign(a) * max(|a| - eta, 0).  It is
-    computed as a * max(1 - eta / |a|, 0) in one real scratch array, with no
-    placeholder phase; exact zeros and ties map to 0.  The product is written
-    to `out` when given, as for a numpy ufunc.
+    For real input this is the usual sign(a) * max(|a| - eta, 0).  The
+    result is a * 0 with the entries where |a| > eta overwritten by
+    a (1 - eta / |a|) (`_kept`), so it has the bytes of a * max(1 - eta / |a|,
+    0), NaN and signed zeros included, with no placeholder phase.  It is
+    written to `out` when given, as for a numpy ufunc.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
-    scale = _shrink_scale(np.atleast_1d(a), eta)
-    shrunk = np.multiply(a, scale.reshape(a.shape), out=out)
+    scratch = np.empty(a.size, a.real.dtype)
+    k, v = _kept(a.reshape(-1), eta, scratch)
+    # a * 0 only where not kept, so no kept infinity meets the 0
+    shrunk = np.asarray(np.multiply(a, 0.0, out=out, where=~(scratch > eta).reshape(a.shape)))
+    shrunk.flat[k] = v  # C-order offsets, whatever the memory order of shrunk
     return shrunk if shrunk.ndim else shrunk[()]
 
 
@@ -304,7 +307,7 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
     L = np.empty_like(D)               # SVT's output
     v_buf = np.empty(CHUNK, D.dtype)   # V = W - L, then V - S
     r = np.empty(CHUNK, D.dtype)       # R = D - L - S
-    a = np.empty(CHUNK, D.real.dtype)  # |D|, then the shrinkage scale of V
+    a = np.empty(CHUNK, D.real.dtype)  # |D|, then |V|
     # D's spectrum gives ||D||_2, the value of spectral_norm, and the first SVT
     spectrum = _gram_spectrum(_gram(_short_side(D)[0]))
     norm2 = float(spectrum[0][-1])
@@ -342,10 +345,7 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
             # V = W - L = T + S_old - L, W = Y/mu + D
             np.subtract(t, l, out=vc)
             vc[k.astype(np.intp)] += v
-            # S = soft_threshold(V, eta/mu), kept where the scale is positive
-            # (the nonzeros of a bool mask are found 4x faster than of the scale)
-            k = np.flatnonzero(_shrink_scale(vc, eta / mu, out=ac) > 0)
-            v = vc[k] * ac[k]
+            k, v = _kept(vc, eta / mu, ac)                 # S = soft_threshold(V, eta/mu)
             kept[i] = k.astype(offset), v
             nnz += np.count_nonzero(v)
             np.subtract(d, l, out=rc)                      # R = D - L - S

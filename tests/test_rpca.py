@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,55 @@ def test_soft_threshold_integer_input_is_shrunk_as_float():
     out = soft_threshold(a, 1.5)
     assert out.dtype == float
     assert np.array_equal(out, soft_threshold(a.astype(float), 1.5))
+
+
+def same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype, x.shape) == (y.dtype, y.shape) and \
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+_ETA = 0.7
+_ABOVE = np.nextafter(_ETA, np.inf)
+_EDGES = np.array([0.0, -0.0, _ETA, -_ETA, _ABOVE, -_ABOVE, np.inf, -np.inf, np.nan,
+                   5e-324, -5e-320, 2.2e-308, 1.0, -3.5])
+_Z = np.random.default_rng(12).standard_normal((9, 24)).view(complex)
+_Z.real[0] = _EDGES[np.isfinite(_EDGES) | np.isnan(_EDGES)]  # complex inf * 0 warns
+_Z.imag[0] = -_Z.real[0, ::-1]
+SOFT_INPUTS = {
+    "edges": _EDGES,
+    "integer": np.array([[-3, 0, 1], [2, 5, -1]]),
+    "0-d": np.array(-2.5),
+    "fortran": np.asfortranarray(np.outer(_EDGES, [1.0, -0.5, 2.0])),
+    "sliced-complex": _Z[::2, ::-1],
+}
+
+
+@pytest.mark.parametrize("order", [None, "C", "F"], ids=["new", "out-C", "out-F"])
+@pytest.mark.parametrize("name", sorted(SOFT_INPUTS))
+def test_soft_threshold_has_the_bytes_of_the_scale_formula(name, order):
+    # a * max(1 - eta/|a|, 0) with every division taken; shrinking only the kept
+    # entries must not change a byte, signed zeros and NaN included
+    a = SOFT_INPUTS[name]
+    with np.errstate(all="ignore"):
+        ref = np.asarray(a * np.fmax(1 - _ETA / np.abs(a), 0))
+    out = None if order is None else np.full(ref.shape, 7.0, ref.dtype, order=order)
+    got = soft_threshold(a, _ETA, out=out)
+    if out is not None and out.ndim:
+        assert got is out
+    assert same_bytes(got, ref)
+
+
+def test_tiny_entries_raise_no_overflow():
+    # dividing eta by a subnormal |a| overflows: only kept entries may be divided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shrunk = soft_threshold(np.array([5e-324, -5e-320, 1.0]), 0.7)
+        D = np.zeros((6, 40))
+        D[0, 0], D[1, 1] = 1.0, 5e-320
+        out = decompose(D, RpcaConfig(eta=0.3))
+    assert same_bytes(shrunk, np.array([0.0, -0.0, 1.0 - 0.7]))
+    assert out.converged and (out.rank, out.sparse_count, out.S[0, 0]) == (0, 1, 1.0)
 
 
 def test_svt_identity_at_zero_threshold():
