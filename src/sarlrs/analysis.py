@@ -6,6 +6,10 @@ a low-rank plus sparse split: the relative Frobenius errors of S against
 the moving-only and of L against the stationary-only reference matrix,
 and the cosine between S and the moving-only reference.
 Every spectrum the package reports comes from `rpca.singular_values`.
+The ratios behind the empirical eta bounds of `nuclear_velocity_exponent`
+and `sarlrs analyze` come from `_grid_norms`: one synthesis of a scene's
+real D, mapped onto the K-column solve grid of `baseband.to_solve_grid`,
+gives D_B's norms and D's nuclear norm with no spectrum wider than 2K.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baseband import from_solve_grid, solve_grid_scale, to_solve_grid
 from .errors import InsufficientSweep
 from .eta import ApertureParams, EtaBounds, analytic_column_support, _spectrum_normalization
 from .rpca import singular_values
@@ -106,54 +111,72 @@ def gaussian_decay_fit(sig: np.ndarray, support: int) -> tuple[float, float]:
     return float(slope), r2
 
 
+def _grid_norms(scenario: Scenario, original: bool = False) -> tuple[float | None, ...]:
+    """D_B's nuclear, Frobenius and l1 norms, and D's nuclear / l1 if `original`, from
+    one synthesis of the scene's real D.
+
+    D is mapped onto its K-column solve grid DB_K (`baseband.to_solve_grid`).
+    DB_K's spectrum times `solve_grid_scale` is D_B's, and the spectrum of the
+    real [Re DB_K, Im DB_K] times `solve_grid_scale` / sqrt(2) is D's, so no
+    spectrum is wider than 2K columns.  D_B's l1 norm needs its gate-length
+    samples: DB_K is mapped back with `from_solve_grid` SCORE_ROWS rows at a
+    time, after D is dropped.  D_B is the band `to_baseband` keeps, so each
+    value is the directly synthesized D_B's to its 6B tail (1e-7 relative).
+    """
+    D = synthesize_downramped(scenario)
+    band, m = (scenario.pulse, scenario.sampling.delta_t), D.shape[1]
+    d_l1 = l1_norm(D) if original else None
+    DB_K = to_solve_grid(D, *band)
+    del D
+    scale = solve_grid_scale(m, *band)
+    rep = spectrum(DB_K)
+    # t0 = 0: the mixer's unit phases change no modulus
+    l1 = sum(l1_norm(from_solve_grid(DB_K[first:first + SCORE_ROWS], *band, m, t0=0.0))
+             for first in range(0, DB_K.shape[0], SCORE_ROWS))
+    ratio = (scale / math.sqrt(2.0) * spectrum(np.hstack([DB_K.real, DB_K.imag])).nuclear_norm
+             / d_l1 if original else None)
+    return scale * rep.nuclear_norm, scale * rep.frobenius_norm, l1, ratio
+
+
 def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
                               direction=(1.0, 0.0, 0.0)) -> dict:
     """Log-log growth rate of the nuclear norm with target speed.
 
-    Synthesizes a single-target baseband matrix per speed (the target at
-    `position` moving along `direction`) and fits nuclear and Frobenius
-    norms against speed.  Each speed's "l1" norm is returned with them, so
-    nuclear / l1 is its empirical eta_max.
+    Synthesizes a single-target matrix per speed (the target at `position`
+    moving along `direction`) and fits D_B's nuclear and Frobenius norms
+    against speed (`_grid_norms`).  Each speed's D_B "l1" norm is returned
+    with them, so nuclear / l1 is its empirical baseband eta_max, and so is
+    the real D's nuclear / l1 ratio ("original_ratio"), its original one.
+    Raises `InsufficientSweep`, before any synthesis, unless there are at
+    least 4 finite, positive speeds spanning a decade.
     """
-    speeds = np.asarray(speeds, dtype=float)
-    if speeds.size < 4 or speeds.max() / speeds.min() < 10.0:
-        raise InsufficientSweep("need >= 4 speeds spanning at least one decade")
+    speeds = np.sort(np.asarray(speeds, dtype=float))
+    if (speeds.size < 4 or not np.all((speeds > 0) & (speeds < np.inf))
+            or speeds[-1] / speeds[0] < 10.0):
+        raise InsufficientSweep("need >= 4 finite, positive speeds spanning at least one decade")
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    nuclear, frobenius, l1 = [], [], []
-    for v in np.sort(speeds):
-        sc = scenario.with_targets([Target(position=position, velocity=v * direction)])
-        DB = synthesize_baseband_direct(sc)
-        rep = spectrum(DB)
-        nuclear.append(rep.nuclear_norm)
-        frobenius.append(rep.frobenius_norm)
-        l1.append(l1_norm(DB))
-    logs = np.log(np.sort(speeds))
-    beta = float(np.polyfit(logs, np.log(nuclear), 1)[0])
-    fro_slope = float(np.polyfit(logs, np.log(frobenius), 1)[0])
+    nuclear, frobenius, l1, ratio = np.array([
+        _grid_norms(scenario.with_targets([Target(position=position, velocity=v * direction)]),
+                    original=True)
+        for v in speeds]).T
+    logs = np.log(speeds)
     return {
-        "speeds": np.sort(speeds),
-        "nuclear": np.array(nuclear),
-        "frobenius": np.array(frobenius),
-        "l1": np.array(l1),
-        "beta": beta,
-        "frobenius_slope": fro_slope,
+        "speeds": speeds,
+        "nuclear": nuclear,
+        "frobenius": frobenius,
+        "l1": l1,
+        "original_ratio": ratio,
+        "beta": float(np.polyfit(logs, np.log(nuclear), 1)[0]),
+        "frobenius_slope": float(np.polyfit(logs, np.log(frobenius), 1)[0]),
     }
 
 
-def nuclear_to_l1(M) -> float:
-    """||M||_* / ||M||_1, the eta bound a class representative sets."""
-    return spectrum(M).nuclear_norm / l1_norm(M)
-
-
 def empirical_eta_bounds(stationary_matrix, moving_matrix) -> EtaBounds:
-    """Nuclear-to-l1 ratios of single-target class representatives."""
-    return EtaBounds(
-        eta_min=nuclear_to_l1(stationary_matrix),
-        eta_max=nuclear_to_l1(moving_matrix),
-        regime="empirical",
-        column_support=math.nan,
-    )
+    """Nuclear-to-l1 ratios ||M||_* / ||M||_1 of single-target class representatives."""
+    return EtaBounds(*(spectrum(M).nuclear_norm / l1_norm(M)
+                       for M in (stationary_matrix, moving_matrix)),
+                     regime="empirical", column_support=math.nan)
 
 
 @dataclass

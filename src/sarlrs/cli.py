@@ -4,7 +4,9 @@
 run, `_run`, which stops after the stage the subcommand names: each is a prefix
 of `pipeline`.  `image` stops at the stage that makes its --source (D simulate,
 DB baseband, L and S decompose) and images that matrix.  `eta` and `analyze`
-take their own short paths.
+take their own short paths.  `analyze` synthesizes each of its 18 scenes once,
+as the real D, and takes every ratio it writes from `analysis._grid_norms`:
+25 spectra in all, of solve grids no wider than 2K columns.
 
 RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` reads D
 through the same band extraction as `baseband.to_baseband` and puts DB onto as
@@ -319,18 +321,21 @@ def cmd_analyze(args) -> int:
     def empirical(eta_min, eta_max):
         return eta.EtaBounds(eta_min, eta_max, regime="empirical", column_support=np.nan)
 
-    # one spectrum per synthesized matrix: the exponent fit's sweep is the baseband half
-    eta_min_bb = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(single(stat_template)))
-    eta_min_orig = analysis.nuclear_to_l1(simulate.synthesize_downramped(single(stat_template)))
+    def ratios(scene, original=False):
+        """D_B's nuclear / l1 and, if `original`, D's: one synthesis of the scene."""
+        nuclear, _, l1, ratio = analysis._grid_norms(scene, original)
+        return nuclear / l1, ratio
+
+    eta_min_bb, eta_min_orig = ratios(single(stat_template), original=True)
     sweep = analysis.nuclear_velocity_exponent(sc, mover.position, SWEEP_SPEEDS, direction)
 
     rows, n_b_dt = [], []
-    for v, nuclear, frobenius, l1 in zip(sweep["speeds"], sweep["nuclear"],
-                                         sweep["frobenius"], sweep["l1"]):
+    for v, nuclear, frobenius, l1, ratio in zip(sweep["speeds"], sweep["nuclear"],
+                                                sweep["frobenius"], sweep["l1"],
+                                                sweep["original_ratio"]):
         tgt = Target(position=mover.position, velocity=v * direction)
         bb = empirical(eta_min_bb, nuclear / l1)
-        orig = empirical(eta_min_orig,
-                         analysis.nuclear_to_l1(simulate.synthesize_downramped(single(tgt))))
+        orig = empirical(eta_min_orig, ratio)
         params = eta.ApertureParams.from_scenario(sc, tgt.velocity)
         n_b_dt.append(eta.analytic_column_support(params) * params.bandwidth_parameter
                       * params.delta_t)
@@ -350,12 +355,12 @@ def cmd_analyze(args) -> int:
     # eta* sensitivity to the number of stationary targets
     rng = np.random.default_rng(7)
     stat_rows = []
-    emax = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(single(mover)))
+    emax = ratios(single(mover))[0]
     for count in range(1, 11):
         targets = [Target(position=stat_template.position + np.array([dx, dy, 0.0]),
                           velocity=[0.0, 0.0, 0.0])
                    for dx, dy in rng.uniform(-20, 20, size=(count, 2))]
-        emin = analysis.nuclear_to_l1(simulate.synthesize_baseband_direct(sc.with_targets(targets)))
+        emin = ratios(sc.with_targets(targets))[0]
         stat_rows.append({"stationary_count": count, "eta_min_empirical": emin,
                           "eta_star_empirical": empirical(emin, emax).eta_star})
     _write_csv(out / "stationary_count_sweep.csv", stat_rows)

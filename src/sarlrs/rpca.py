@@ -138,17 +138,22 @@ def soft_threshold(a, eta: float, out=None):
     For real input this is the usual sign(a) * max(|a| - eta, 0).  The
     result is a * 0 with the entries where |a| > eta overwritten by
     a (1 - eta / |a|) (`_kept`), so it has the bytes of a * max(1 - eta / |a|,
-    0), NaN and signed zeros included, with no placeholder phase.  It is
-    written to `out` when given, as for a numpy ufunc.
+    0), NaN and signed zeros included, with no placeholder phase.  An entry
+    with an infinite part is returned as it is: its scale is exactly 1, and
+    the complex product with it would put NaN in the other part (inf * 0j).
+    It is written to `out` when given, as for a numpy ufunc.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
+    inf = np.isinf(a)  # kept as they are, so `_kept` sees 0 there
     scratch = np.empty(a.size, a.real.dtype)
-    k, v = _kept(a.reshape(-1), eta, scratch)
-    # a * 0 only where not kept, so no kept infinity meets the 0
-    shrunk = np.asarray(np.multiply(a, 0.0, out=out, where=~(scratch > eta).reshape(a.shape)))
+    k, v = _kept(np.where(inf, 0, a).reshape(-1), eta, scratch)
+    # a * 0 only where neither kept nor infinite, so no infinity meets the 0
+    shrunk = np.asarray(np.multiply(a, 0.0, out=out,
+                                    where=~(inf | (scratch > eta).reshape(a.shape))))
     shrunk.flat[k] = v  # C-order offsets, whatever the memory order of shrunk
+    shrunk[inf] = a[inf]
     return shrunk if shrunk.ndim else shrunk[()]
 
 

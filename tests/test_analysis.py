@@ -2,6 +2,7 @@ import ast
 import math
 import sys
 import tracemalloc
+from importlib import resources
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 
 import sarlrs
-from sarlrs.analysis import (NarrowbandViolated, analytic_l1,
+from sarlrs.analysis import (NarrowbandViolated, _grid_norms, analytic_l1,
                              empirical_eta_bounds, gaussian_decay_fit, l1_norm,
                              model_spectrum, nuclear_velocity_exponent,
                              separation_metrics, spectrum)
 from sarlrs.errors import InsufficientSweep
 from sarlrs.eta import ApertureParams, conventional_eta
 from sarlrs.rpca import RpcaConfig, decompose
-from sarlrs.simulate import synthesize_baseband_direct, synthesize_downramped
+from sarlrs.scenario import Target, load_scenario
+from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
 
 from conftest import make_scenario, moving_target, stationary_target
 
@@ -163,6 +165,57 @@ def test_velocity_exponent_needs_a_decade():
     sc = make_scenario()
     with pytest.raises(InsufficientSweep):
         nuclear_velocity_exponent(sc, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("speeds", [[0.0, 1.0, 10.0, 100.0], [1.5, 2.4, 3.8, np.inf],
+                                    [-15.0, 1.5, 2.4, 3.8], [1.5, np.nan, 3.8, 15.0]],
+                         ids=["zero", "inf", "negative", "nan"])
+def test_velocity_exponent_rejects_speeds_before_synthesis(monkeypatch, speeds):
+    # [0, 1, 10, 100] spans an infinite ratio, so only the finite, positive check
+    # stops it before a degenerate fit
+    monkeypatch.setattr(sarlrs.analysis, "synthesize_downramped",
+                        lambda sc: pytest.fail("a bad sweep was synthesized"))
+    with pytest.raises(InsufficientSweep):
+        nuclear_velocity_exponent(make_scenario(), [0.0, 0.0, 0.0], speeds)
+
+
+def _shipped(regime):
+    with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
+        sc = load_scenario(p)
+    mover = next(t for t in sc.targets if not t.stationary)
+    slow = Target(position=mover.position,
+                  velocity=1.5 * mover.velocity / np.linalg.norm(mover.velocity))
+    return sc, next(t for t in sc.targets if t.stationary), slow
+
+
+@pytest.mark.parametrize("regime", ["scaled", "gotcha"])
+@pytest.mark.parametrize("which", ["stationary", "mover-1.5"])
+def test_grid_norms_match_the_gate_length_matrices(regime, which):
+    # the solve grid's norms against gate-length spectra and l1 norms of the
+    # directly synthesized D_B and of D
+    sc, stat, slow = _shipped(regime)
+    single = sc.with_targets([stat if which == "stationary" else slow])
+    DB, D = synthesize_baseband_direct(single), synthesize_downramped(single)
+    rep = spectrum(DB)
+    expected = [rep.nuclear_norm, rep.frobenius_norm, l1_norm(DB),
+                spectrum(D).nuclear_norm / l1_norm(D)]
+    assert list(_grid_norms(single, original=True)) == pytest.approx(expected, rel=1e-7)
+    assert _grid_norms(single)[3] is None
+
+
+def test_grid_norms_peak_memory_on_the_gotcha_mover():
+    # one synthesis of D, then D and its half-spectrum while the solve grid is
+    # cut out; two syntheses (D and D_B) measured 3.0x D's bytes
+    sc, _, _ = _shipped("gotcha")
+    single = sc.with_targets([next(t for t in sc.targets if not t.stationary)])
+    d_bytes = 8 * single.platform.pulse_count * fast_times(single).size
+    tracemalloc.start()
+    try:
+        _grid_norms(single, original=True)
+        peak = tracemalloc.get_traced_memory()[1] / d_bytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5
 
 
 def test_frobenius_and_nuclear_match_baseband_relations():

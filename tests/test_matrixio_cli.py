@@ -16,15 +16,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import sarlrs.analysis
 import sarlrs.rpca
 import sarlrs.simulate
 from sarlrs.analysis import separation_metrics
+from sarlrs.baseband import passband_bins
 from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
 from sarlrs.errors import ConfigError
 from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
 from sarlrs.matrixio import read_matrix, write_matrix
 from sarlrs.scenario import (SamplingGrid, Scenario, load_scenario, scenario_to_dict,
                              serialize_scenario)
+from sarlrs.simulate import fast_times
 
 
 def test_real_matrix_round_trip(tmp_path):
@@ -688,14 +691,29 @@ def test_cli_options_only_where_read(tmp_path):
 def test_cli_analyze_reports(tmp_path, monkeypatch):
     cfg = _scaled_config(tmp_path)
     out = tmp_path / "run"
-    spectra = []
+    spectra, widths, synthesized = [], [], []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: spectra.append(1) or svd(*a, **k))
+    values = sarlrs.analysis.singular_values
+    monkeypatch.setattr(sarlrs.analysis, "singular_values",
+                        lambda M: widths.append(M.shape[1]) or values(M))
+    for module in (sarlrs.simulate, sarlrs.analysis):
+        for name in ("synthesize_downramped", "synthesize_baseband_direct"):
+            def counted(*a, _name=name, _synth=getattr(module, name), **k):
+                synthesized.append(_name)
+                return _synth(*a, **k)
+            monkeypatch.setattr(module, name, counted)
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
-    # one spectrum per synthesized matrix: 2 stationary representatives, 2 per
-    # sweep speed (the exponent fit's baseband matrix and the original one),
-    # the mover and 10 stationary sets
-    assert len(spectra) == 2 + 2 * len(SWEEP_SPEEDS) + 1 + 10 == 25
+    # one synthesis of the real D per scene: the stationary representative, one
+    # per sweep speed, the mover and 10 stationary sets
+    assert synthesized == ["synthesize_downramped"] * (1 + len(SWEEP_SPEEDS) + 1 + 10)
+    assert len(synthesized) == 18
+    # one spectrum of each scene's K-column solve grid, and one of its 2K-column
+    # real form where D's ratio is reported: the representative and each speed
+    assert len(spectra) == len(widths) == 2 + 2 * len(SWEEP_SPEEDS) + 1 + 10 == 25
+    sc = load_scenario(cfg)
+    K = passband_bins(fast_times(sc).size, sc.pulse, sc.sampling.delta_t).size
+    assert max(widths) <= 2 * K
     with open(out / "velocity_sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     nuclear = [float(r["nuclear"]) for r in rows]

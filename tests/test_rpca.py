@@ -199,6 +199,24 @@ def test_soft_threshold_has_the_bytes_of_the_scale_formula(name, order):
     assert same_bytes(got, ref)
 
 
+def test_soft_threshold_keeps_entries_with_an_infinite_part():
+    # |a| = inf: the scale is exactly 1, so the entry keeps its argument; the
+    # complex product with the scale would give inf * 0j = NaN (and warn)
+    inf = np.inf
+    a = np.array([complex(inf, 0.0), complex(-inf, 2.0), complex(3.0, -inf),
+                  complex(inf, inf), 0.5 + 0.0j, 2.0 - 0.0j])
+    expected = a.copy()
+    expected[4:] = [0.0, 1.3 - 0.0j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = soft_threshold(a, 0.7)
+        out = np.full((3, 2), 7.0 + 0j, order="F")
+        soft_threshold(a.reshape(3, 2), 0.7, out=out)
+    assert same_bytes(got, expected)
+    assert same_bytes(out, expected.reshape(3, 2))
+    assert soft_threshold(np.array(complex(inf, 1.0)), 0.7) == complex(inf, 1.0)
+
+
 def test_tiny_entries_raise_no_overflow():
     # dividing eta by a subnormal |a| overflows: only kept entries may be divided
     with warnings.catch_warnings():
