@@ -74,9 +74,10 @@ def solve_grid_scale(m: int, pulse: Pulse, delta_t: float) -> float:
     D's singular values are sqrt(m / 2K) times that matrix's, up to the band's
     6B tail.  D's nuclear norm agreed to 1e-16 to 6e-10 relative on the shipped
     scenes and their single targets, and to 1.1e-11 on the whole `scaled`
-    scene.  `spectra.csv` still takes D's row from D at gate length: on
-    `scaled` the grid moves its 64 values by up to 2.4e-12 of sigma_0 (those
-    near the tail, about 1e-11 sigma_0), and the row is checked to 1e-12.
+    scene.  `spectra.csv` takes D's row from this rule: its 64 values are
+    within 2.4e-12 of sigma_0 of D's own on `scaled` (those near the tail,
+    about 1e-11 sigma_0, differ in their leading digits) and 1.8e-15 on
+    `gotcha`, and the row is checked to 1e-11 of sigma_0.
     """
     return float(np.sqrt(m / passband_bins(m, pulse, delta_t).size))
 

@@ -16,11 +16,12 @@ onto the gate's columns, so the written matrices keep the gate's shape.  The
 CLI knows nothing of that grid's scale: it asks `baseband.solve_grid_scale`
 once, and uses that one value to put the gate-grid eta onto the solve grid
 and the short-grid spectra back onto the gate's.  The run holds at most one
-gate-length matrix at a time: D is read once for its band (and, in
-`pipeline`, its spectrum) and dropped, and DB, L and S are each mapped,
-written, imaged and scored in the stage that makes them, then dropped.
-`pipeline` writes the DB, L and S rows of spectra.csv from the short-grid
-matrices the solve holds, and metrics.json from the scores of L and S.
+gate-length matrix at a time: D is read once for its band and dropped, and
+DB, L and S are each mapped, written and imaged in the stage that makes
+them, then dropped.  `pipeline`'s tail stays on the solve grid: it writes
+spectra.csv from DB_K (D's row from its real form, as
+`baseband.solve_grid_scale` states) and the short-grid L and S, and
+metrics.json from `analysis.solve_grid_metrics` of the split.
 
 Every command that takes --eta and --windows checks both, whatever stage it
 stops at: --eta's syntax as argparse reads it, --windows against the scene's
@@ -59,7 +60,6 @@ SWEEP_SPEEDS = (1.5, 2.4, 3.8, 6.0, 9.5, 15.0)
 
 STAGES = ("simulate", "baseband", "decompose", "pipeline")
 SOURCE_STAGE = {"D": "simulate", "DB": "baseband", "L": "decompose", "S": "decompose"}
-SCORED = {"L": Scenario.stationary_only, "S": Scenario.moving_only}  # metrics.json's classes
 
 
 def _load(args) -> Scenario:
@@ -196,8 +196,8 @@ def _run(args, last: str) -> int:
     """Run the stages simulate, baseband, decompose, pipeline in order, up to `last`.
 
     `last` == "image" runs up to the stage that makes --source, then images it.
-    Each gate-length matrix is written, imaged and scored in the stage that
-    makes it and then dropped, so at most one is held at a time.
+    Each gate-length matrix is written and imaged in the stage that makes it
+    and then dropped, so at most one is held at a time.
     """
     sc = _load(args)
     t = simulate.fast_times(sc)
@@ -218,25 +218,22 @@ def _run(args, last: str) -> int:
         images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
-    spectra, scores = {}, {}
+    text = serialize_scenario(sc)  # scenario.json, and the hash every file records
+    digest = scenario_hash(text)
 
     def emit(name: str, M: np.ndarray, provenance: str) -> None:
-        """Write the gate-length matrix `name`, and image and score it where the run asks."""
+        """Write the gate-length matrix `name`, and image it where the run asks."""
         matrixio.write_matrix(out / f"{name}.sarm", M, {
-            "scenario_hash": scenario_hash(sc), "regime": args.regime or "custom",
+            "scenario_hash": digest, "regime": args.regime or "custom",
             "provenance": provenance})
         if name in images:
             img = imaging.migrate(M, sc, grid, hypothesis_velocity=images[name], source=name)
             _write_image(out, f"image_{name}", img)
-        if last == "pipeline" and name in SCORED:
-            scores[name] = analysis.score_class(M, sc, SCORED[name])
 
     ends = [("start", time.perf_counter())]  # (stage, when it ended)
     D = simulate.synthesize_downramped(sc)
     emit("D", D, "simulate")
-    (out / "scenario.json").write_text(serialize_scenario(sc))
-    if last == "pipeline":
-        spectra["D"] = rpca.singular_values(D)
+    (out / "scenario.json").write_text(text)
     if "baseband" in stages:
         DB_K = baseband.to_solve_grid(D, *band)
     del D
@@ -252,23 +249,22 @@ def _run(args, last: str) -> int:
         _write_json(out / "rpca_report.json", report)
         ends.append(("decompose", time.perf_counter()))
     if last == "pipeline":
-        # the mapped DB, L and S have the short-grid spectra times the grid's scale
-        spectra.update((name, scale * rpca.singular_values(M))
-                       for name, M in (("DB", DB_K), ("L", dec.L), ("S", dec.S)))
+        # the mapped DB, L and S have the short-grid spectra times the grid's scale, and
+        # D that of DB_K's real form over sqrt(2), to the band's 6B tail
+        spectra = {"D": analysis._downramped_values(DB_K, scale),
+                   **{name: scale * rpca.singular_values(M)
+                      for name, M in (("DB", DB_K), ("L", dec.L), ("S", dec.S))}}
         _write_csv(out / "spectra.csv", [
             {"matrix": name, "k": k, "sigma": float(s)}
             for name, sig in spectra.items()
             for k, s in enumerate(sig[:64])])
         used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
         _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc, t.size)})
-        (s_error, s_cosine), (l_error, _) = scores["S"], scores["L"]
-        metrics = analysis.SeparationMetrics(s_error=s_error, l_error=l_error,
-                                             s_cosine=s_cosine,
-                                             residual=dec.residual).as_dict()
+        metrics = analysis.solve_grid_metrics(dec, DB_K, sc).as_dict()
         _write_json(out / "metrics.json", metrics)
         ends.append(("tail", time.perf_counter()))
         seconds = {stage: t - before for (_, before), (stage, t) in zip(ends, ends[1:])}
-        _write_json(out / "summary.json", {"scenario_hash": scenario_hash(sc), "eta": used,
+        _write_json(out / "summary.json", {"scenario_hash": digest, "eta": used,
                                            "rpca": report, "metrics": metrics,
                                            "seconds": seconds})
     if dec is not None and not dec.converged:

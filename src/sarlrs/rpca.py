@@ -141,8 +141,12 @@ def soft_threshold(a, eta: float, out=None):
     0), NaN and signed zeros included, with no placeholder phase.  An entry
     with an infinite part is returned as it is: its scale is exactly 1, and
     the complex product with it would put NaN in the other part (inf * 0j).
-    It is written to `out` when given, as for a numpy ufunc.
+    It is written to `out` when given, as for a numpy ufunc.  eta must be a
+    real number >= 0, else `ConfigError`: eta = 0 returns a's values, and
+    eta = inf zeroes every finite entry.
     """
+    if not (isinstance(eta, numbers.Real) and eta >= 0):  # nan fails the comparison
+        raise ConfigError(f"soft_threshold's eta must be a real number >= 0, got {eta!r}")
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)

@@ -239,5 +239,8 @@ def save_scenario(sc: Scenario, path) -> None:
         fh.write(serialize_scenario(sc))
 
 
-def scenario_hash(sc: Scenario) -> str:
-    return hashlib.sha256(serialize_scenario(sc).encode()).hexdigest()[:16]
+def scenario_hash(sc: Scenario | str) -> str:
+    """The first 16 hex digits of the SHA-256 of `serialize_scenario(sc)`; `sc` may be
+    that text already, so a caller that writes it serializes the scene once."""
+    text = sc if isinstance(sc, str) else serialize_scenario(sc)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -13,11 +13,12 @@ import sarlrs
 from sarlrs.analysis import (NarrowbandViolated, _grid_norms, analytic_l1,
                              empirical_eta_bounds, gaussian_decay_fit, l1_norm,
                              model_spectrum, nuclear_velocity_exponent,
-                             separation_metrics, spectrum)
+                             separation_metrics, solve_grid_metrics, spectrum)
+from sarlrs.baseband import from_solve_grid, solve_grid_scale, to_solve_grid
 from sarlrs.errors import InsufficientSweep
-from sarlrs.eta import ApertureParams, conventional_eta
+from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
 from sarlrs.rpca import RpcaConfig, decompose
-from sarlrs.scenario import Target, load_scenario
+from sarlrs.scenario import Scenario, Target, load_scenario
 from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
 
 from conftest import make_scenario, moving_target, stationary_target
@@ -355,3 +356,91 @@ def test_separation_metrics_of_a_real_split_use_down_ramped_references(monkeypat
     assert [got.s_error, got.l_error, got.s_cosine] == pytest.approx(expected, rel=1e-12)
     assert got.residual == dec.residual
     assert got.s_error <= 0.05
+
+
+def _block_loop_scores(X, sc, subset):
+    """`score_class` as one block loop, the form it had before `_score` was shared."""
+    from dataclasses import replace
+    from sarlrs.scenario import SamplingGrid
+    from sarlrs.simulate import fast_time_gate
+    synth = synthesize_baseband_direct if np.iscomplexobj(X) else synthesize_downramped
+    t0, t1 = fast_time_gate(sc)
+    grid = SamplingGrid(delta_t=sc.sampling.delta_t, gate_start=t0, gate_end=t1)
+    reference = subset(replace(sc, sampling=grid))
+    rr = xx = xr = dd = 0.0
+    for first in range(0, reference.platform.pulse_count, 16):
+        rows = slice(first, first + 16)
+        R, Xb = synth(reference, rows=rows), X[rows]
+        rr += np.vdot(R, R).real
+        xx += np.vdot(Xb, Xb).real
+        xr += np.vdot(Xb, R)
+        np.subtract(R, Xb, out=R)
+        dd += np.vdot(R, R).real
+    error = math.sqrt(dd / rr) if rr > 0 else None
+    cosine = min(1.0, float(abs(xr) / math.sqrt(xx * rr))) if xx * rr > 0 else None
+    return error, cosine
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_separation_metrics_keep_the_block_loop_bytes(scaled_scenario, field):
+    # sharing `_score` kept every numpy operation and its order: the gate-length
+    # scores `gotcha-rpca` and direct callers read are unchanged to the bit
+    sc = scaled_scenario
+    D = synthesize_baseband_direct(sc) if field == "complex" else synthesize_downramped(sc)
+    dec = decompose(D, RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-4))
+    (s_error, s_cosine), (l_error, _) = (_block_loop_scores(X, sc, subset) for X, subset in
+                                         ((dec.S, Scenario.moving_only),
+                                          (dec.L, Scenario.stationary_only)))
+    got = separation_metrics(dec, sc).as_dict()
+    assert got == {"s_error": s_error, "l_error": l_error, "s_cosine": s_cosine,
+                   "residual": dec.residual}
+    assert all(type(v) is float for v in got.values())
+
+
+def _solve_grid_split(sc):
+    """DB_K of the scene's real D, its split at the analytic eta*, and the band."""
+    band = (sc.pulse, sc.sampling.delta_t)
+    DB_K = to_solve_grid(synthesize_downramped(sc), *band)
+    mover = next(t for t in sc.targets if not t.stationary)
+    eta = eta_bounds_baseband(ApertureParams.from_scenario(sc, mover.velocity)).eta_star
+    scale = solve_grid_scale(fast_times(sc).size, *band)
+    return DB_K, decompose(DB_K, RpcaConfig(eta=eta * scale)), band
+
+
+def test_solve_grid_metrics_match_the_gate_length_scores(scaled_scenario):
+    # the references on the solve grid are the real model's, mapped: the scores
+    # of the split mapped back to the gate agree to the band's 6B tail
+    sc = scaled_scenario
+    DB_K, dec, band = _solve_grid_split(sc)
+    t = fast_times(sc)
+    gate = SimpleNamespace(S=from_solve_grid(dec.S, *band, t.size, t0=t[0]),
+                           L=from_solve_grid(dec.L, *band, t.size, t0=t[0]),
+                           residual=dec.residual)
+    expected = separation_metrics(gate, sc).as_dict()
+    got = solve_grid_metrics(dec, DB_K, sc).as_dict()
+    assert None not in got.values()
+    assert got == pytest.approx(expected, rel=1e-9)
+    assert got["residual"] == dec.residual
+
+
+def test_solve_grid_metrics_of_a_mover_only_scene(single_mover_scenario):
+    # D holds only the mover, so C_K = DB_K - M_K is exactly 0: no l_error
+    sc = single_mover_scenario
+    DB_K = to_solve_grid(synthesize_downramped(sc), sc.pulse, sc.sampling.delta_t)
+    split = SimpleNamespace(S=DB_K, L=np.zeros_like(DB_K), residual=0.0)
+    m = solve_grid_metrics(split, DB_K, sc)
+    assert m.l_error is None
+    assert (m.s_error, m.s_cosine) == (0.0, 1.0)
+
+
+def test_solve_grid_metrics_hold_no_gate_length_matrix(scaled_scenario):
+    # the moving-only reference is synthesized and mapped SCORE_ROWS rows at a time
+    sc = scaled_scenario
+    DB_K, dec, _ = _solve_grid_split(sc)
+    tracemalloc.start()
+    try:
+        solve_grid_metrics(dec, DB_K, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * sc.platform.pulse_count * fast_times(sc).size * 8

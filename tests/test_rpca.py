@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -160,6 +161,24 @@ def test_soft_threshold_integer_input_is_shrunk_as_float():
     out = soft_threshold(a, 1.5)
     assert out.dtype == float
     assert np.array_equal(out, soft_threshold(a.astype(float), 1.5))
+
+
+@pytest.mark.parametrize("eta", [-1.0, -1e-300, math.nan, 1j, complex(0.5, 0), "0.5"],
+                         ids=["negative", "tiny-negative", "nan", "imaginary", "complex", "text"])
+def test_soft_threshold_rejects_an_eta_that_is_not_real_and_non_negative(eta):
+    # -1 divided by the zero |a| it counted as kept; nan kept nothing and returned zeros
+    with pytest.raises(ConfigError):
+        soft_threshold(np.array([0.0, 1.0]), eta)
+
+
+def test_soft_threshold_at_eta_zero_and_infinity_keeps_the_formula():
+    # eta = 0 is the identity and eta = inf zeroes every finite entry, signed zeros kept
+    a = np.array([0.0, -0.0, 5e-324, -2.5, 1.0, np.nan])
+    z = a[:5].astype(complex) * np.exp(0.3j)
+    for x in (a, z):
+        assert same_bytes(soft_threshold(x, 0.0), x)
+        with np.errstate(all="ignore"):
+            assert same_bytes(soft_threshold(x, np.inf), x * np.fmax(1 - np.inf / np.abs(x), 0))
 
 
 def same_bytes(x, y):
