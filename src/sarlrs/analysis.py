@@ -6,31 +6,36 @@ a low-rank plus sparse split: the relative Frobenius errors of S against
 the moving-only and of L against the stationary-only reference matrix,
 and the cosine between S and the moving-only reference.
 Every spectrum the package reports comes from `rpca.singular_values`.
-The ratios behind the empirical eta bounds of `nuclear_velocity_exponent`
-and `sarlrs analyze` come from `_grid_norms`: one synthesis of a scene's
+
+The CLI's diagnostics are computed here, and the CLI only writes them.
+`eta_sweeps` gives `sarlrs analyze`'s two tables and its summary.  Their
+ratios come from `_grid_norms`: one synthesis of a scene's
 real D, mapped onto the K-column solve grid of `baseband.to_solve_grid`,
 gives D_B's norms and D's nuclear norm with no spectrum wider than 2K.
-`solve_grid_metrics` scores a split on that grid, and `score_class` at
-gate length; both sum the same four products in `_score`.
+`solve_grid_spectra` and `solve_grid_metrics` give `pipeline`'s spectra.csv
+and metrics.json from a split on that grid, and `separation_metrics` scores
+a gate-length split; both scores sum the same four products in `_score`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .baseband import from_solve_grid, solve_grid_scale, to_solve_grid
-from .errors import InsufficientSweep
-from .eta import ApertureParams, EtaBounds, analytic_column_support, _spectrum_normalization
+from .errors import ConfigError, InsufficientSweep
+from .eta import ApertureParams, EtaBounds, eta_bounds_baseband
 from .rpca import singular_values
-from .scenario import SamplingGrid, Scenario, Target
-from .simulate import fast_time_gate, synthesize_baseband_direct, synthesize_downramped
+from .scenario import Scenario, Target
+from .simulate import (fast_time_gate, fast_times, synthesize_baseband_direct,
+                       synthesize_downramped)
 
 EFFECTIVE_SUPPORT_REL = 1e-3   # sigma_k above 1e-3 * sigma_0 count as support
 SCORE_ROWS = 16                # rows per synthesized reference block
+SWEEP_SPEEDS = (1.5, 2.4, 3.8, 6.0, 9.5, 15.0)  # m/s: `eta_sweeps`' decade of speeds
 
 
 class NarrowbandViolated(UserWarning):
@@ -70,20 +75,6 @@ class SpectrumReport:
     effective_support: int
 
 
-def model_spectrum(params: ApertureParams, count: int) -> np.ndarray:
-    """Analytic singular-value model for a single moving target.
-
-    Gaussian decay in k with width set by the trace's column support N.
-    """
-    b_dt = params.bandwidth_parameter * params.delta_t
-    N = analytic_column_support(params)
-    norm = _spectrum_normalization(N, b_dt)
-    amp = math.sqrt(2.0 * params.aperture_time * math.sqrt(math.pi)
-                    / (params.delta_s * b_dt * norm))
-    k = np.arange(count)
-    return amp * np.exp(-np.pi**2 * k**2 / (2.0 * (N * b_dt) ** 2))
-
-
 def spectrum(M) -> SpectrumReport:
     """Singular values of M with the norms they give; raises SvdFailure."""
     sig = singular_values(np.asarray(M))
@@ -113,6 +104,11 @@ def gaussian_decay_fit(sig: np.ndarray, support: int) -> tuple[float, float]:
     return float(slope), r2
 
 
+def _row_blocks(rows: int):
+    """Slices of SCORE_ROWS consecutive rows, in order, covering `rows` rows."""
+    return (slice(first, first + SCORE_ROWS) for first in range(0, rows, SCORE_ROWS))
+
+
 def _grid_norms(scenario: Scenario, original: bool = False) -> tuple[float | None, ...]:
     """D_B's nuclear, Frobenius and l1 norms, and D's nuclear / l1 if `original`, from
     one synthesis of the scene's real D.
@@ -133,8 +129,8 @@ def _grid_norms(scenario: Scenario, original: bool = False) -> tuple[float | Non
     scale = solve_grid_scale(m, *band)
     rep = spectrum(DB_K)
     # t0 = 0: the mixer's unit phases change no modulus
-    l1 = sum(l1_norm(from_solve_grid(DB_K[first:first + SCORE_ROWS], *band, m, t0=0.0))
-             for first in range(0, DB_K.shape[0], SCORE_ROWS))
+    l1 = sum(l1_norm(from_solve_grid(DB_K[rows], *band, m, t0=0.0))
+             for rows in _row_blocks(DB_K.shape[0]))
     ratio = float(_downramped_values(DB_K, scale).sum()) / d_l1 if original else None
     return scale * rep.nuclear_norm, scale * rep.frobenius_norm, l1, ratio
 
@@ -156,13 +152,16 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
     with them, so nuclear / l1 is its empirical baseband eta_max, and so is
     the real D's nuclear / l1 ratio ("original_ratio"), its original one.
     Raises `InsufficientSweep`, before any synthesis, unless there are at
-    least 4 finite, positive speeds spanning a decade.
+    least 4 finite, positive speeds spanning a decade, and `ConfigError`
+    unless `direction` is a finite, nonzero 3-vector.
     """
     speeds = np.sort(np.asarray(speeds, dtype=float))
     if (speeds.size < 4 or not np.all((speeds > 0) & (speeds < np.inf))
             or speeds[-1] / speeds[0] < 10.0):
         raise InsufficientSweep("need >= 4 finite, positive speeds spanning at least one decade")
     direction = np.asarray(direction, dtype=float)
+    if direction.shape != (3,) or not 0 < np.linalg.norm(direction) < np.inf:  # nan fails
+        raise ConfigError("direction must be a finite, nonzero 3-vector")
     direction = direction / np.linalg.norm(direction)
     nuclear, frobenius, l1, ratio = np.array([
         _grid_norms(scenario.with_targets([Target(position=position, velocity=v * direction)]),
@@ -180,6 +179,69 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
     }
 
 
+def eta_sweeps(scenario: Scenario, mover: Target,
+               stationary: Target) -> tuple[list[dict], list[dict], dict]:
+    """`sarlrs analyze`'s velocity sweep, stationary-count sweep and summary.
+
+    The velocity sweep moves `mover` at each of SWEEP_SPEEDS along its own
+    direction (`nuclear_velocity_exponent`): per speed, D_B's nuclear and
+    Frobenius norms, the empirical band's eta_max, dynamic range and eta* in
+    both regimes, with `stationary` alone giving eta_min, and the analytic
+    eta*.  The count sweep puts 1 to 10 stationary targets within 20 m of
+    `stationary` (seeded, so every run draws the same) and gives each set's
+    baseband eta_min and its eta* against `mover`'s eta_max.  The summary
+    holds the fit's beta and Frobenius slope and the sweep's range of N B dt,
+    N the analytic column support.  Each of the 18 scenes is synthesized
+    once, and every ratio comes from `_grid_norms`.
+    """
+    direction = mover.velocity / np.linalg.norm(mover.velocity)
+
+    def ratios(targets, original=False):
+        """D_B's nuclear / l1 and, if `original`, D's: one synthesis of the scene."""
+        nuclear, _, l1, ratio = _grid_norms(scenario.with_targets(targets), original)
+        return nuclear / l1, ratio
+
+    def empirical(eta_min, eta_max):
+        return EtaBounds(eta_min, eta_max, regime="empirical", column_support=math.nan)
+
+    eta_min_bb, eta_min_orig = ratios([stationary], original=True)
+    sweep = nuclear_velocity_exponent(scenario, mover.position, SWEEP_SPEEDS, direction)
+    velocity_rows, n_b_dt = [], []
+    for v, nuclear, frobenius, l1, ratio in zip(sweep["speeds"], sweep["nuclear"],
+                                                sweep["frobenius"], sweep["l1"],
+                                                sweep["original_ratio"]):
+        bb, orig = empirical(eta_min_bb, nuclear / l1), empirical(eta_min_orig, ratio)
+        params = ApertureParams.from_scenario(scenario, v * direction)
+        analytic = eta_bounds_baseband(params)
+        n_b_dt.append(analytic.column_support * params.bandwidth_parameter * params.delta_t)
+        velocity_rows.append({
+            "speed_mps": v,
+            "nuclear": nuclear,
+            "frobenius": frobenius,
+            "eta_max_empirical_baseband": bb.eta_max,
+            "eta_max_empirical_original": orig.eta_max,
+            "dynamic_range_baseband": bb.dynamic_range,
+            "dynamic_range_original": orig.dynamic_range,
+            "eta_star_empirical": bb.eta_star,
+            "eta_star_analytic": analytic.eta_star,
+        })
+
+    rng = np.random.default_rng(7)
+    eta_max = ratios([mover])[0]
+    count_rows = []
+    for count in range(1, 11):
+        targets = [Target(position=stationary.position + np.array([dx, dy, 0.0]),
+                          velocity=[0.0, 0.0, 0.0])
+                   for dx, dy in rng.uniform(-20, 20, size=(count, 2))]
+        eta_min = ratios(targets)[0]
+        count_rows.append({"stationary_count": count, "eta_min_empirical": eta_min,
+                           "eta_star_empirical": empirical(eta_min, eta_max).eta_star})
+
+    summary = {"beta": sweep["beta"], "n_b_dt": [min(n_b_dt), max(n_b_dt)],
+               "frobenius_slope": sweep["frobenius_slope"]}
+    return velocity_rows, count_rows, summary
+
+
 def empirical_eta_bounds(stationary_matrix, moving_matrix) -> EtaBounds:
     """Nuclear-to-l1 ratios ||M||_* / ||M||_1 of single-target class representatives."""
     return EtaBounds(*(spectrum(M).nuclear_norm / l1_norm(M)
@@ -195,15 +257,13 @@ class SeparationMetrics:
     residual: float
 
     def as_dict(self) -> dict:
-        return {"s_error": self.s_error, "l_error": self.l_error,
-                "s_cosine": self.s_cosine, "residual": self.residual}
+        return asdict(self)
 
 
 def _pinned(scenario: Scenario) -> Scenario:
     """The scene with its resolved gate pinned, so its class subsets share its columns."""
     t0, t1 = fast_time_gate(scenario)
-    return replace(scenario, sampling=SamplingGrid(delta_t=scenario.sampling.delta_t,
-                                                   gate_start=t0, gate_end=t1))
+    return replace(scenario, sampling=replace(scenario.sampling, gate_start=t0, gate_end=t1))
 
 
 def _score(blocks) -> tuple[float | None, float | None]:
@@ -225,34 +285,24 @@ def _score(blocks) -> tuple[float | None, float | None]:
     return error, cosine
 
 
-def score_class(X, scenario: Scenario, subset) -> tuple[float | None, float | None]:
-    """(||X - R|| / ||R||, |<X, R>| / (||X|| ||R||)), None for a zero denominator.
-
-    The reference R is one target class of the scene, `subset(scenario)` with
-    subset `Scenario.moving_only` or `Scenario.stationary_only`, synthesized
-    on the full scene's gate in the field of X (complex: baseband model;
-    real: down-ramped model), so X must be a gate-length matrix.  R is synthesized
-    SCORE_ROWS rows at a time and scored by `_score` block by block, so no
-    full-size array is made.
-    """
-    X = np.asarray(X)
-    synth = synthesize_baseband_direct if np.iscomplexobj(X) else synthesize_downramped
-    reference = subset(_pinned(scenario))
-    rows = (slice(first, first + SCORE_ROWS)
-            for first in range(0, reference.platform.pulse_count, SCORE_ROWS))
-    return _score((X[r], synth(reference, rows=r)) for r in rows)
-
-
 def separation_metrics(decomposition, scenario: Scenario) -> SeparationMetrics:
     """Score S against the moving-only and L against the stationary-only reference.
 
-    Two calls of `score_class`, S's first, on a gate-length split: each
-    reference is synthesized and scored SCORE_ROWS rows at a time, so no
-    full-size array is added to S and L.  `solve_grid_metrics` scores a
-    split of the solve grid instead.
+    Each reference R is one target class of the scene, synthesized on the
+    full scene's gate in the field of the matrix it scores (complex: baseband
+    model; real: down-ramped model), so the split must be gate-length.  S is
+    scored first.  R is synthesized SCORE_ROWS rows at a time and scored by
+    `_score` block by block, so no full-size array is added to S and L.
+    `solve_grid_metrics` scores a split of the solve grid instead.
     """
-    s_error, s_cosine = score_class(decomposition.S, scenario, Scenario.moving_only)
-    l_error, _ = score_class(decomposition.L, scenario, Scenario.stationary_only)
+    pinned = _pinned(scenario)
+    scores = []
+    for X, reference in ((np.asarray(decomposition.S), pinned.moving_only()),
+                         (np.asarray(decomposition.L), pinned.stationary_only())):
+        synth = synthesize_baseband_direct if np.iscomplexobj(X) else synthesize_downramped
+        scores.append(_score((X[rows], synth(reference, rows=rows))
+                             for rows in _row_blocks(reference.platform.pulse_count)))
+    (s_error, s_cosine), (l_error, _) = scores
     return SeparationMetrics(s_error=s_error, l_error=l_error, s_cosine=s_cosine,
                              residual=decomposition.residual)
 
@@ -272,11 +322,26 @@ def solve_grid_metrics(decomposition, DB_K: np.ndarray, scenario: Scenario) -> S
     band = (scenario.pulse, scenario.sampling.delta_t)
     movers = _pinned(scenario).moving_only()
     M_K = np.empty_like(DB_K)
-    for first in range(0, DB_K.shape[0], SCORE_ROWS):
-        rows = slice(first, first + SCORE_ROWS)
+    for rows in _row_blocks(DB_K.shape[0]):
         M_K[rows] = to_solve_grid(synthesize_downramped(movers, rows=rows), *band)
     C_K = DB_K - M_K
     s_error, s_cosine = _score([(decomposition.S, M_K)])
     l_error, _ = _score([(decomposition.L, C_K)])
     return SeparationMetrics(s_error=s_error, l_error=l_error, s_cosine=s_cosine,
                              residual=decomposition.residual)
+
+
+def solve_grid_spectra(decomposition, DB_K: np.ndarray, scenario: Scenario) -> dict:
+    """The singular values of D, DB and a split's L and S on the gate's grid, descending,
+    from DB_K = `to_solve_grid(D)` and the split of DB_K.
+
+    DB's, L's and S's are their solve-grid spectra times `solve_grid_scale`,
+    exactly those of the matrices `from_solve_grid` maps them to; D's are
+    those of the real n x 2K [Re DB_K, Im DB_K] over sqrt(2) (`_downramped_values`),
+    D's own to the band's 6B tail.
+    """
+    scale = solve_grid_scale(fast_times(scenario).size, scenario.pulse,
+                             scenario.sampling.delta_t)
+    return {"D": _downramped_values(DB_K, scale),
+            **{name: scale * singular_values(M)
+               for name, M in (("DB", DB_K), ("L", decomposition.L), ("S", decomposition.S))}}

@@ -4,9 +4,9 @@
 run, `_run`, which stops after the stage the subcommand names: each is a prefix
 of `pipeline`.  `image` stops at the stage that makes its --source (D simulate,
 DB baseband, L and S decompose) and images that matrix.  `eta` and `analyze`
-take their own short paths.  `analyze` synthesizes each of its 18 scenes once,
-as the real D, and takes every ratio it writes from `analysis._grid_norms`:
-25 spectra in all, of solve grids no wider than 2K columns.
+take their own short paths.  `analyze` picks the scene's first mover and
+first stationary target and writes what `analysis.eta_sweeps` computes from
+them.
 
 RPCA runs on DB's critically sampled grid: `baseband.to_solve_grid` reads D
 through the same band extraction as `baseband.to_baseband` and puts DB onto as
@@ -14,14 +14,12 @@ many columns as that band has DFT bins, C-ordered, so the solve takes it
 without a copy, and `baseband.from_solve_grid` moves that grid's DB, L and S
 onto the gate's columns, so the written matrices keep the gate's shape.  The
 CLI knows nothing of that grid's scale: it asks `baseband.solve_grid_scale`
-once, and uses that one value to put the gate-grid eta onto the solve grid
-and the short-grid spectra back onto the gate's.  The run holds at most one
+to put the gate-grid eta onto the solve grid.  The run holds at most one
 gate-length matrix at a time: D is read once for its band and dropped, and
 DB, L and S are each mapped, written and imaged in the stage that makes
 them, then dropped.  `pipeline`'s tail stays on the solve grid: it writes
-spectra.csv from DB_K (D's row from its real form, as
-`baseband.solve_grid_scale` states) and the short-grid L and S, and
-metrics.json from `analysis.solve_grid_metrics` of the split.
+spectra.csv from `analysis.solve_grid_spectra` and metrics.json from
+`analysis.solve_grid_metrics` of DB_K and its split.
 
 Every command that takes --eta and --windows checks both, whatever stage it
 stops at: --eta's syntax as argparse reads it, --windows against the scene's
@@ -56,8 +54,6 @@ EXIT_CONFIG = 1
 EXIT_PHYSICS = 2
 EXIT_NUMERICAL = 3
 
-SWEEP_SPEEDS = (1.5, 2.4, 3.8, 6.0, 9.5, 15.0)
-
 STAGES = ("simulate", "baseband", "decompose", "pipeline")
 SOURCE_STAGE = {"D": "simulate", "DB": "baseband", "L": "decompose", "S": "decompose"}
 
@@ -66,10 +62,7 @@ def _load(args) -> Scenario:
     if args.config:
         return load_scenario(args.config)
     if args.regime:
-        ref = resources.files("sarlrs").joinpath(f"data/{args.regime}.json")
-        if not ref.is_file():
-            raise ConfigError(f"unknown regime '{args.regime}'")
-        with resources.as_file(ref) as path:
+        with resources.as_file(resources.files("sarlrs") / f"data/{args.regime}.json") as path:
             return load_scenario(path)
     raise ConfigError("either --config or --regime is required")
 
@@ -80,11 +73,11 @@ def _outdir(args) -> Path:
     return out
 
 
-def _first_mover(sc: Scenario) -> Target:
+def _first_target(sc: Scenario, moving: bool) -> Target:
     for t in sc.targets:
-        if not t.stationary:
+        if t.stationary != moving:
             return t
-    raise ConfigError("scenario has no moving target")
+    raise ConfigError(f"scenario has no {'moving' if moving else 'stationary'} target")
 
 
 def _eta_mode(text: str) -> str | float:
@@ -102,7 +95,7 @@ def _resolve_eta(mode: str | float, sc: Scenario, m: int) -> tuple[float, str]:
     if mode == "conventional":
         return eta.conventional_eta(sc.platform.pulse_count, m), "conventional"  # D's shape
     if mode == "optimal":
-        params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
+        params = eta.ApertureParams.from_scenario(sc, _first_target(sc, moving=True).velocity)
         return eta.eta_bounds_baseband(params).eta_star, "analytic-optimal"
     return mode, "explicit"
 
@@ -135,7 +128,7 @@ def _decompose(DB_K: np.ndarray, args, config: rpca.RpcaConfig, eta_value: float
 
 
 def _eta_bounds(sc: Scenario, m: int) -> dict:
-    params = eta.ApertureParams.from_scenario(sc, _first_mover(sc).velocity)
+    params = eta.ApertureParams.from_scenario(sc, _first_target(sc, moving=True).velocity)
     return {
         "baseband": eta.eta_bounds_baseband(params).as_dict(),
         "original": eta.eta_bounds_original(params).as_dict(),
@@ -212,10 +205,10 @@ def _run(args, last: str) -> int:
         raise ConfigError("--windows must be in [1, pulse count]")
     if "decompose" in stages:
         eta_used = _resolve_eta(args.eta, sc, t.size)
-        scale = baseband.solve_grid_scale(t.size, *band)  # the one value for eta and spectra
-        config = rpca.RpcaConfig(eta=eta_used[0] * scale)  # rejects an overflow
+        # rejects an overflow
+        config = rpca.RpcaConfig(eta=eta_used[0] * baseband.solve_grid_scale(t.size, *band))
     if last == "pipeline":
-        images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_mover(sc).velocity}
+        images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_target(sc, moving=True).velocity}
     grid = _grid(args, sc) if images else None
     out = _outdir(args)
     text = serialize_scenario(sc)  # scenario.json, and the hash every file records
@@ -249,14 +242,9 @@ def _run(args, last: str) -> int:
         _write_json(out / "rpca_report.json", report)
         ends.append(("decompose", time.perf_counter()))
     if last == "pipeline":
-        # the mapped DB, L and S have the short-grid spectra times the grid's scale, and
-        # D that of DB_K's real form over sqrt(2), to the band's 6B tail
-        spectra = {"D": analysis._downramped_values(DB_K, scale),
-                   **{name: scale * rpca.singular_values(M)
-                      for name, M in (("DB", DB_K), ("L", dec.L), ("S", dec.S))}}
         _write_csv(out / "spectra.csv", [
             {"matrix": name, "k": k, "sigma": float(s)}
-            for name, sig in spectra.items()
+            for name, sig in analysis.solve_grid_spectra(dec, DB_K, sc).items()
             for k, s in enumerate(sig[:64])])
         used = {"value": report["eta"], "mode": report["eta_mode"], "windows": report["windows"]}
         _write_json(out / "eta_report.json", {"used": used, **_eta_bounds(sc, t.size)})
@@ -304,65 +292,11 @@ def cmd_eta(args) -> int:
 
 def cmd_analyze(args) -> int:
     sc = _load(args)
-    mover = _first_mover(sc)
-    direction = mover.velocity / np.linalg.norm(mover.velocity)
-    stat_template = next((t for t in sc.targets if t.stationary), None)
-    if stat_template is None:
-        raise ConfigError("scenario has no stationary target")
+    velocity_rows, count_rows, summary = analysis.eta_sweeps(
+        sc, _first_target(sc, moving=True), _first_target(sc, moving=False))
     out = _outdir(args)
-
-    def single(target):
-        return sc.with_targets([target])
-
-    def empirical(eta_min, eta_max):
-        return eta.EtaBounds(eta_min, eta_max, regime="empirical", column_support=np.nan)
-
-    def ratios(scene, original=False):
-        """D_B's nuclear / l1 and, if `original`, D's: one synthesis of the scene."""
-        nuclear, _, l1, ratio = analysis._grid_norms(scene, original)
-        return nuclear / l1, ratio
-
-    eta_min_bb, eta_min_orig = ratios(single(stat_template), original=True)
-    sweep = analysis.nuclear_velocity_exponent(sc, mover.position, SWEEP_SPEEDS, direction)
-
-    rows, n_b_dt = [], []
-    for v, nuclear, frobenius, l1, ratio in zip(sweep["speeds"], sweep["nuclear"],
-                                                sweep["frobenius"], sweep["l1"],
-                                                sweep["original_ratio"]):
-        tgt = Target(position=mover.position, velocity=v * direction)
-        bb = empirical(eta_min_bb, nuclear / l1)
-        orig = empirical(eta_min_orig, ratio)
-        params = eta.ApertureParams.from_scenario(sc, tgt.velocity)
-        n_b_dt.append(eta.analytic_column_support(params) * params.bandwidth_parameter
-                      * params.delta_t)
-        rows.append({
-            "speed_mps": v,
-            "nuclear": nuclear,
-            "frobenius": frobenius,
-            "eta_max_empirical_baseband": bb.eta_max,
-            "eta_max_empirical_original": orig.eta_max,
-            "dynamic_range_baseband": bb.dynamic_range,
-            "dynamic_range_original": orig.dynamic_range,
-            "eta_star_empirical": bb.eta_star,
-            "eta_star_analytic": eta.eta_bounds_baseband(params).eta_star,
-        })
-    _write_csv(out / "velocity_sweep.csv", rows)
-
-    # eta* sensitivity to the number of stationary targets
-    rng = np.random.default_rng(7)
-    stat_rows = []
-    emax = ratios(single(mover))[0]
-    for count in range(1, 11):
-        targets = [Target(position=stat_template.position + np.array([dx, dy, 0.0]),
-                          velocity=[0.0, 0.0, 0.0])
-                   for dx, dy in rng.uniform(-20, 20, size=(count, 2))]
-        emin = ratios(sc.with_targets(targets))[0]
-        stat_rows.append({"stationary_count": count, "eta_min_empirical": emin,
-                          "eta_star_empirical": empirical(emin, emax).eta_star})
-    _write_csv(out / "stationary_count_sweep.csv", stat_rows)
-
-    summary = {"beta": sweep["beta"], "n_b_dt": [min(n_b_dt), max(n_b_dt)],
-               "frobenius_slope": sweep["frobenius_slope"]}
+    _write_csv(out / "velocity_sweep.csv", velocity_rows)
+    _write_csv(out / "stationary_count_sweep.csv", count_rows)
     _write_json(out / "analysis_summary.json", summary)
     return EXIT_OK
 
@@ -372,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sarlrs",
         description="SAR simulation and low-rank plus sparse moving-target separation")
     sub = parser.add_subparsers(dest="command", required=True)
+    regimes = sorted(f.name.removesuffix(".json")
+                     for f in (resources.files("sarlrs") / "data").iterdir()
+                     if f.name.endswith(".json"))
     commands = {
         "simulate": cmd_simulate,
         "baseband": cmd_baseband,
@@ -384,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="scenario JSON file")
-        p.add_argument("--regime", choices=["gotcha", "scaled"],
+        p.add_argument("--regime", choices=regimes,
                        help="built-in scenario to use when --config is absent")
         p.add_argument("--out", default="runs/latest", help="output directory")
         if name in ("decompose", "image", "pipeline"):

@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +91,11 @@ CHUNK = 8192                 # entries per slice of decompose's elementwise pass
 BLOCK = 4096                 # columns per block of SVT's Gram sum and product
 
 
+def _is_count(x) -> bool:
+    """x is a positive integer: any Integral but a bool, which counts nothing."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class RpcaConfig:
     """Solver settings.  eta is a number: callers derive it with the eta module."""
@@ -103,7 +108,7 @@ class RpcaConfig:
         # eta and tol must be finite, positive real numbers: nan fails the comparison
         if not all(isinstance(x, numbers.Real) and 0 < x < math.inf for x in (self.eta, self.tol)):
             raise ConfigError("eta and tol must be finite, positive numbers")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _is_count(self.max_iter):
             raise ConfigError("max_iter must be a positive integer")
 
 
@@ -389,33 +394,31 @@ def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decom
     """Split rows into consecutive slow-time blocks and decompose each.
 
     Every block is solved at the same config, so at the same eta, and L and
-    S have `decompose`'s dtype.
+    S have `decompose`'s dtype.  One window of a nonzero D returns
+    `decompose`'s own split, its trace entries tagged with window 0.  An
+    all-zero block is not solved: its L and S are zero.
     """
     D = np.asarray(D)
-    if not isinstance(windows, numbers.Integral) or windows < 1 or windows > D.shape[0]:
+    if not _is_count(windows) or windows > D.shape[0]:
         raise ConfigError("windows must be an integer in [1, row count]")
+    if windows == 1 and np.any(D):
+        one = decompose(D, config)
+        return replace(one, trace=[{**entry, "window": 0} for entry in one.trace])
     edges = np.linspace(0, D.shape[0], windows + 1).astype(int)
-    L = np.zeros_like(D, _solve_dtype(D))
-    S = np.zeros_like(D, _solve_dtype(D))
-    iters = 0
-    rank = 0
-    nnz = 0
-    converged = True
-    trace = []
+    out = Decomposition(L=np.zeros_like(D, _solve_dtype(D)), S=np.zeros_like(D, _solve_dtype(D)),
+                        iterations=0, residual=0.0, rank=0, sparse_count=0, converged=True)
     for window, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         if not np.any(D[a:b]):
             continue  # all-zero block separates trivially
         part = decompose(D[a:b], config)
-        trace += [{**entry, "window": window} for entry in part.trace]
-        L[a:b] = part.L
-        S[a:b] = part.S
-        iters = max(iters, part.iterations)
-        rank += part.rank
-        nnz += part.sparse_count
-        converged = converged and part.converged
+        out.trace += [{**entry, "window": window} for entry in part.trace]
+        out.L[a:b] = part.L
+        out.S[a:b] = part.S
+        out.iterations = max(out.iterations, part.iterations)
+        out.rank += part.rank
+        out.sparse_count += part.sparse_count
+        out.converged = out.converged and part.converged
     norm_d = np.linalg.norm(D)  # 0 only when every block was skipped
-    residual = float(np.linalg.norm(D - L - S) / norm_d) if norm_d else 0.0
-    return Decomposition(
-        L=L, S=S, iterations=iters, residual=residual, rank=rank,
-        sparse_count=nnz, converged=converged, trace=trace,
-    )
+    if norm_d:
+        out.residual = float(np.linalg.norm(D - out.L - out.S) / norm_d)
+    return out

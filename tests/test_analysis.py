@@ -12,11 +12,11 @@ import pytest
 import sarlrs
 from sarlrs.analysis import (NarrowbandViolated, _grid_norms, analytic_l1,
                              empirical_eta_bounds, gaussian_decay_fit, l1_norm,
-                             model_spectrum, nuclear_velocity_exponent,
+                             nuclear_velocity_exponent,
                              separation_metrics, solve_grid_metrics, spectrum)
 from sarlrs.baseband import from_solve_grid, solve_grid_scale, to_solve_grid
-from sarlrs.errors import InsufficientSweep
-from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
+from sarlrs.errors import ConfigError, InsufficientSweep
+from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband, model_spectrum
 from sarlrs.rpca import RpcaConfig, decompose
 from sarlrs.scenario import Scenario, Target, load_scenario
 from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
@@ -103,6 +103,35 @@ def test_only_baseband_calls_the_fft():
     assert callers == ["baseband.py"]
 
 
+def _foreign_private_names(path):
+    """Every underscore name a source file imports, or reads as an attribute of a
+    name it imported (`module._name`), dunders aside."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+                if private(alias.name):
+                    yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                yield ast.unparse(node)
+
+
+def test_no_module_uses_another_modules_private_names():
+    # each module's underscore names are its own: a number one module computes
+    # is reached through a public function, so the owner can change how
+    src = Path(sarlrs.__file__).parent
+    uses = {f.name: sorted(_foreign_private_names(f)) for f in src.glob("*.py")}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
 def _imports(path):
     """Every module a source file imports, a relative import as sarlrs.<name>."""
     for node in ast.walk(ast.parse(path.read_text())):
@@ -178,6 +207,17 @@ def test_velocity_exponent_rejects_speeds_before_synthesis(monkeypatch, speeds):
                         lambda sc: pytest.fail("a bad sweep was synthesized"))
     with pytest.raises(InsufficientSweep):
         nuclear_velocity_exponent(make_scenario(), [0.0, 0.0, 0.0], speeds)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0),
+                                       (1.0, 0.0), (1.0, 0.0, 0.0, 0.0)],
+                         ids=["zero", "nan", "inf", "2-vector", "4-vector"])
+def test_velocity_exponent_rejects_a_bad_direction_before_synthesis(monkeypatch, direction):
+    monkeypatch.setattr(sarlrs.analysis, "synthesize_downramped",
+                        lambda sc: pytest.fail("a bad direction was synthesized"))
+    with pytest.raises(ConfigError):
+        nuclear_velocity_exponent(make_scenario(), [0.0, 0.0, 0.0], [1.5, 2.4, 3.8, 15.0],
+                                  direction)
 
 
 def _shipped(regime):

@@ -21,9 +21,9 @@ import sarlrs.cli
 import sarlrs.rpca
 import sarlrs.scenario
 import sarlrs.simulate
-from sarlrs.analysis import SCORE_ROWS, separation_metrics
+from sarlrs.analysis import SCORE_ROWS, SWEEP_SPEEDS, separation_metrics
 from sarlrs.baseband import passband_bins
-from sarlrs.cli import SWEEP_SPEEDS, build_parser, main
+from sarlrs.cli import build_parser, main
 from sarlrs.errors import ConfigError
 from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband
 from sarlrs.matrixio import read_matrix, write_matrix
@@ -726,10 +726,18 @@ def test_cli_usage_errors_exit_1(tmp_path):
     assert main(["simulate", "--bogus"]) == 1
     assert main([]) == 1
     assert main(["simulate", "--regime", "nowhere", *out]) == 1
+    assert main(["pipeline", "--regime", "bogus", *out]) == 1
     assert main(["decompose", "--regime", "scaled", "--windows", "x", *out]) == 1
     assert main(["pipeline", "--regime", "scaled", "--eta", "bogus", *out]) == 1
     assert not (tmp_path / "x").exists()  # rejected before any stage writes a file
     assert main(["simulate", "--help"]) == 0
+    # --regime offers exactly the scenes the package ships
+    shipped = sorted(p.stem for p in (Path(sarlrs.cli.__file__).parent / "data").glob("*.json"))
+    assert {"gotcha", "scaled"} <= set(shipped)
+    for action in build_parser()._subparsers._group_actions:
+        for command, sub in action.choices.items():
+            regime = next(a for a in sub._actions if a.dest == "regime")
+            assert regime.choices == shipped, command
 
 
 def test_cli_options_only_where_read(tmp_path):

@@ -622,16 +622,16 @@ def test_windowed_skips_an_all_zero_block():
     {"eta": np.nan}, {"eta": np.inf}, {"eta": 0.0}, {"eta": -1.0}, {"eta": None},
     {"eta": "conventional"}, {"eta": "0.1"},
     {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": None},
-    {"max_iter": 0}, {"max_iter": None}, {"max_iter": 2.5},
+    {"max_iter": 0}, {"max_iter": None}, {"max_iter": 2.5}, {"max_iter": True},
 ], ids=["eta-nan", "eta-inf", "eta-0", "eta-negative", "eta-none", "eta-conventional",
         "eta-string", "tol-nan", "tol-inf", "tol-0", "tol-none", "max-iter-0",
-        "max-iter-none", "max-iter-float"])
+        "max-iter-none", "max-iter-float", "max-iter-true"])
 def test_settings_must_be_finite_and_positive(setting):
     with pytest.raises(ConfigError):
         RpcaConfig(**{"eta": 0.1, **setting})
 
 
-@pytest.mark.parametrize("windows", [0, 2.0])
+@pytest.mark.parametrize("windows", [0, 2.0, True])
 def test_windowed_bad_window_count(windows):
     with pytest.raises(ConfigError):
         decompose_windowed(np.ones((4, 4)), windows, RpcaConfig(eta=0.5))
@@ -745,6 +745,28 @@ def test_decompose_peak_memory():
     out, peak = traced_decompose(D, conventional_eta(*D.shape))
     assert out.converged
     assert peak <= 2.5 * D.nbytes
+
+
+def test_one_window_returns_decomposes_own_split():
+    # no zero-filled L and S to copy the split into, and no residual recomputed
+    # with full-size temporaries: those more than doubled decompose's peak
+    D = low_rank_plus_sparse(64, 20000, 4, True, 0.02, seed=23)
+    config = RpcaConfig(eta=conventional_eta(*D.shape), tol=1e-4)
+    out, peak = traced_decompose(D, config.eta)
+    tracemalloc.start()
+    try:
+        one = decompose_windowed(D, 1, config)
+        one_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert one_peak <= 1.05 * peak
+    # two solves of the same matrix, equal up to threaded BLAS's summation order
+    assert relative_error(one.L, out.L) <= 1e-12 and relative_error(one.S, out.S) <= 1e-12
+    assert one.residual == pytest.approx(out.residual, rel=1e-9)
+    assert (one.iterations, one.rank, one.sparse_count, one.converged) == \
+        (out.iterations, out.rank, out.sparse_count, out.converged)
+    assert [e["window"] for e in one.trace] == [0] * out.iterations
+    assert all(set(e) == {*out.trace[0], "window"} for e in one.trace)
 
 
 def test_decompose_peak_memory_with_a_dense_s():
