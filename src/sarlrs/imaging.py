@@ -11,7 +11,8 @@ i = min(floor(x), m - 2) for m samples, the value is
 row[i] + (x - i) (row[i+1] - row[i]).  A sample adds nothing, and counts in
 `out_of_gate`, exactly when tau lies outside [t_0, t_{m-1}].  Only in-gate
 samples are indexed, interpolated and phase-restored: 45% of the
-pixel-samples on the benchmark's 121 x 121 `gotcha` grid.
+pixel-samples on the benchmark's 121 x 121 `gotcha` grid.  The delays of a
+pulse come from `simulate.grid_delays`, from the grid's two axes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .scenario import Scenario, advect
-from .simulate import differential_delay, fast_times
+from .scenario import Scenario
+from .simulate import fast_times, grid_delays
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,13 @@ class ImagingGrid:
     def ys(self) -> np.ndarray:
         return self.center[1] + np.linspace(-self.extent_y, self.extent_y, self.ny)
 
+    def z(self) -> float:
+        return float(self.center[2]) if self.center.size > 2 else 0.0
+
     def points(self) -> np.ndarray:
         """(ny*nx, 3) pixel coordinates, row-major over (y, x)."""
         X, Y = np.meshgrid(self.xs(), self.ys())
-        Z = np.full_like(X, self.center[2] if self.center.size > 2 else 0.0)
+        Z = np.full_like(X, self.z())
         return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
 
@@ -79,17 +83,15 @@ def migrate(data: np.ndarray, scenario: Scenario, grid: ImagingGrid,
     v = np.asarray(hypothesis_velocity, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ConfigError("hypothesis velocity must be finite")
-    # column-major: advecting the pixels and differencing them with the platform
-    # then run along contiguous columns, not 3-entry rows; the values are the same
-    pix = np.asfortranarray(grid.points())
+    xs, ys, z = grid.xs(), grid.ys(), grid.z()
     w0 = scenario.pulse.carrier_angular_frequency
     dt = scenario.sampling.delta_t
     last = t.size - 2           # the last interval's left sample
     is_complex = np.iscomplexobj(data)
-    acc = np.zeros(pix.shape[0], dtype=complex if is_complex else float)
+    acc = np.zeros(grid.ny * grid.nx, dtype=complex if is_complex else float)
     out_of_gate = 0
     for j, sj in enumerate(s):
-        tau = differential_delay(scenario, advect(pix, v, sj), sj)
+        tau = grid_delays(scenario, xs, ys, z, v, sj).ravel()
         inside = np.flatnonzero((tau >= t[0]) & (tau <= t[-1]))
         out_of_gate += tau.size - inside.size
         tau = tau[inside]

@@ -407,6 +407,9 @@ def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decom
     edges = np.linspace(0, D.shape[0], windows + 1).astype(int)
     out = Decomposition(L=np.zeros_like(D, _solve_dtype(D)), S=np.zeros_like(D, _solve_dtype(D)),
                         iterations=0, residual=0.0, rank=0, sparse_count=0, converged=True)
+    # ||D - L - S||_F^2 and ||D||_F^2 as sums over the blocks, each block's
+    # misfit its relative residual times its norm; a skipped block adds 0 to both
+    sq_misfit = sq_norm = 0.0
     for window, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         if not np.any(D[a:b]):
             continue  # all-zero block separates trivially
@@ -418,7 +421,10 @@ def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decom
         out.rank += part.rank
         out.sparse_count += part.sparse_count
         out.converged = out.converged and part.converged
-    norm_d = np.linalg.norm(D)  # 0 only when every block was skipped
-    if norm_d:
-        out.residual = float(np.linalg.norm(D - out.L - out.S) / norm_d)
+        norm_w = float(np.linalg.norm(D[a:b]))
+        sq_misfit += (part.residual * norm_w) ** 2
+        sq_norm += norm_w * norm_w
+        del part  # its L and S are copied: free them before the next block's solve
+    if sq_norm:  # 0 only when every block was skipped
+        out.residual = math.sqrt(sq_misfit / sq_norm)
     return out

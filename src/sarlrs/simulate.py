@@ -19,6 +19,13 @@ evaluated on the same t values as a dense evaluation; outside it every term
 would be +-0.0, and adding a signed zero changes no entry.  The result is
 therefore byte-identical to evaluating every target on the whole grid.  A
 window at least as wide as the gate is cut to it, so each row is then whole.
+
+The down-ramped carrier is evaluated by angle addition,
+cos(w0 t) cos(w0 dtau) + sin(w0 t) sin(w0 dtau), from per-call tables of the
+columns the windows reach and of each row's delay, so no cosine is taken per
+sample.  It rounds the phases w0 t and w0 dtau, where cos(w0 (t - dtau))
+rounds w0 (t - dtau): the two differ by a few times 2^-53 w0 |t| per target,
+at most 3.1e-13 on `gotcha` (|D| up to 1.98) and 4.9e-14 on `scaled`.
 """
 
 from __future__ import annotations
@@ -36,16 +43,26 @@ from .scenario import C_LIGHT, GATE_MARGIN_OVER_B, Scenario, Target
 ENVELOPE_ZERO = math.sqrt(2.0 * 1075.0 * math.log(2.0))
 
 
-def _distance(a, b) -> np.ndarray:
-    """|a - b| over the last axis of length 3.
+def _norm3(dx, dy, dz) -> np.ndarray:
+    """sqrt(dx^2 + dy^2 + dz^2) of broadcasting components.
 
     Summed as (dx*dx + dy*dy) + dz*dz, the order in which numpy reduces a
-    length-3 axis, so this equals np.linalg.norm(a - b, axis=-1) bit for bit
-    without its generic reduction.
+    length-3 axis, so this equals np.linalg.norm of the stacked components
+    over that axis bit for bit without its generic reduction.
     """
-    d = a - b
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _distance(a, b) -> np.ndarray:
+    """|a - b| over the last axis of length 3."""
+    d = a - b
+    return _norm3(d[..., 0], d[..., 1], d[..., 2])
+
+
+def _delay(scenario: Scenario, r: np.ndarray, dx, dy, dz) -> np.ndarray:
+    """(2/c) * (|(dx, dy, dz)| - |r - rho_o|): the differential delay of the points
+    at offsets (dx, dy, dz) from the platform position r."""
+    return 2.0 * (_norm3(dx, dy, dz) - _distance(r, scenario.reference_point)) / C_LIGHT
 
 
 def travel_time(scenario: Scenario, s: float, point) -> float:
@@ -61,9 +78,26 @@ def differential_delay(scenario: Scenario, points, s) -> np.ndarray:
     slow time (shape s.shape + (3,)) or many points at one slow time.
     """
     r = scenario.platform.position_at(s)
-    d_p = _distance(r, points)
-    d_o = _distance(r, scenario.reference_point)
-    return 2.0 * (d_p - d_o) / C_LIGHT
+    d = r - points
+    return _delay(scenario, r, d[..., 0], d[..., 1], d[..., 2])
+
+
+def grid_delays(scenario: Scenario, xs: np.ndarray, ys: np.ndarray, z: float,
+                velocity, s: float) -> np.ndarray:
+    """differential_delay at one slow time s of the (ny, nx) grid of points
+    (xs[k], ys[m], z) advected to p + velocity * s.
+
+    Each axis is advected and differenced with the platform once, and the
+    squares are summed by broadcasting in `differential_delay`'s order, so
+    the result equals differential_delay(scenario, advect(points, velocity,
+    s), s) of the row-major (y, x) points bit for bit.
+    """
+    r = scenario.platform.position_at(s)
+    v = np.asarray(velocity, dtype=float)
+    dx = r[0] - (xs + v[0] * s)
+    dy = r[1] - (ys + v[1] * s)
+    dz = r[2] - (z + v[2] * s)
+    return _delay(scenario, r, dx, dy[:, None], dz)
 
 
 def delta_tau(scenario: Scenario, target: Target, s) -> np.ndarray | float:
@@ -119,8 +153,9 @@ def _check_gate(scenario: Scenario, delays: np.ndarray, t: np.ndarray) -> None:
             raise GateTooNarrow(i)
 
 
-def _synthesize(scenario: Scenario, dtype, carrier, rows: slice) -> np.ndarray:
-    """sum_i sig_i carrier(w0, t - dtau_i, dtau_i) exp(-B^2 (t - dtau_i)^2 / 2) on `rows`.
+def _synthesize(scenario: Scenario, baseband: bool, rows: slice) -> np.ndarray:
+    """sum_i sig_i carrier_i exp(-B^2 (t - dtau_i)^2 / 2) on `rows`: the carrier is
+    cos(w0 (t - dtau_i)) by angle addition, or exp(1j w0 dtau_i) for `baseband`.
 
     Every row is summed over the targets in the same order whichever rows are
     asked for, so a slice of rows is byte-identical to those rows of the whole.
@@ -128,9 +163,11 @@ def _synthesize(scenario: Scenario, dtype, carrier, rows: slice) -> np.ndarray:
     t = fast_times(scenario)
     cols = t.size
     n_rows = len(range(*rows.indices(scenario.platform.pulse_count)))
-    M = np.zeros((n_rows, cols), dtype=dtype)
+    M = np.zeros((n_rows, cols), dtype=complex if baseband else float)
     delays = _all_delays(scenario)
     _check_gate(scenario, delays, t)
+    if not (scenario.targets and n_rows):
+        return M
     w0 = scenario.pulse.carrier_angular_frequency
     B = scenario.pulse.bandwidth_parameter
     dt = scenario.sampling.delta_t
@@ -138,28 +175,37 @@ def _synthesize(scenario: Scenario, dtype, carrier, rows: slice) -> np.ndarray:
     # floor(a) + ceil(2 Z/(B dt)) + 1 hold every |t - dtau| <= Z/B and one guard column
     # each side; a window wider than the gate is cut to it, and then starts at column 0
     width = min(math.ceil(2.0 * ENVELOPE_ZERO / (B * dt)) + 3, cols)
-    for tgt, dtau in zip(scenario.targets, delays):
-        dtau = dtau[rows]
-        starts = np.floor((dtau - ENVELOPE_ZERO / B - t[0]) / dt).astype(np.intp) - 1
+    delays = delays[:, rows]
+    starts = np.clip(np.floor((delays - ENVELOPE_ZERO / B - t[0]) / dt).astype(np.intp) - 1,
+                     0, cols - width)
+    lo = int(starts.min())
+    if not baseband:
+        wt, wd = w0 * t[lo:int(starts.max()) + width], w0 * delays
+        cos_t, sin_t = np.cos(wt), np.sin(wt)
+        cos_d, sin_d = np.cos(wd).tolist(), np.sin(wd).tolist()
+    for i, (tgt, dtau, first) in enumerate(zip(scenario.targets, delays, starts)):
         # one row at a time: a row's temporaries (tens of kB) are reused from the
         # heap, while freeing (rows, width) ones would raise glibc's dynamic mmap
         # threshold and with it the peak RSS of the stages that follow
-        for j, c in enumerate(np.clip(starts, 0, cols - width).tolist()):
+        for j, c in enumerate(first.tolist()):
             arg = t[c:c + width] - dtau[j]
-            M[j, c:c + width] += tgt.reflectivity * (carrier(w0, arg, dtau[j])
-                                                     * np.exp(-B * B * arg * arg / 2.0))
+            if baseband:
+                carrier = np.exp(1j * w0 * dtau[j])
+            else:
+                k = c - lo
+                carrier = cos_t[k:k + width] * cos_d[i][j] + sin_t[k:k + width] * sin_d[i][j]
+            M[j, c:c + width] += tgt.reflectivity * (carrier * np.exp(-B * B * arg * arg / 2.0))
     return M
 
 
 def synthesize_downramped(scenario: Scenario, rows: slice = slice(None)) -> np.ndarray:
     """Real down-ramped data matrix, shape (n+1, len(fast_times)), or its `rows`."""
-    return _synthesize(scenario, float, lambda w0, arg, dtau: np.cos(w0 * arg), rows)
+    return _synthesize(scenario, False, rows)
 
 
 def synthesize_baseband_direct(scenario: Scenario, rows: slice = slice(None)) -> np.ndarray:
     """Analytic complex-baseband matrix, or its `rows`; oracle for the FFT filtering path."""
-    return _synthesize(scenario, complex,
-                       lambda w0, arg, dtau: np.exp(1j * w0 * dtau), rows)
+    return _synthesize(scenario, True, rows)
 
 
 def column_support(scenario: Scenario, target: Target) -> int:

@@ -399,7 +399,8 @@ def test_separation_metrics_of_a_real_split_use_down_ramped_references(monkeypat
 
 
 def _block_loop_scores(X, sc, subset):
-    """`score_class` as one block loop, the form it had before `_score` was shared."""
+    """One class's scores from `separation_metrics` as one block loop, the form
+    they had before `_score` was shared."""
     from dataclasses import replace
     from sarlrs.scenario import SamplingGrid
     from sarlrs.simulate import fast_time_gate

@@ -1,11 +1,13 @@
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from sarlrs import imaging, simulate
 from sarlrs.errors import ConfigError
 from sarlrs.imaging import ImagingGrid, KmImage, migrate, peak_report, value_at
-from sarlrs.scenario import SamplingGrid, advect
+from sarlrs.scenario import SamplingGrid, advect, load_scenario
 from sarlrs.simulate import (differential_delay, fast_times, synthesize_baseband_direct,
                              synthesize_downramped)
 
@@ -53,6 +55,81 @@ def test_migrate_matches_interp_reference(scaled_scenario, baseband, moving):
     assert img.out_of_gate == below + above
     assert np.iscomplexobj(img.values) == baseband
     assert np.max(np.abs(img.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def migrate_per_pixel(data, scenario, grid, hypothesis_velocity):
+    """`migrate` with every pixel advected and differenced with the platform as a
+    3-vector, as it was before its delays came from the grid's axes."""
+    t = fast_times(scenario)
+    v = np.asarray(hypothesis_velocity, dtype=float)
+    pix = np.asfortranarray(grid.points())
+    w0 = scenario.pulse.carrier_angular_frequency
+    dt = scenario.sampling.delta_t
+    last = t.size - 2
+    is_complex = np.iscomplexobj(data)
+    acc = np.zeros(pix.shape[0], dtype=complex if is_complex else float)
+    out_of_gate = 0
+    for j, sj in enumerate(scenario.slow_times()):
+        tau = differential_delay(scenario, advect(pix, v, sj), sj)
+        inside = np.flatnonzero((tau >= t[0]) & (tau <= t[-1]))
+        out_of_gate += tau.size - inside.size
+        tau = tau[inside]
+        x = (tau - t[0]) / dt
+        i = np.minimum(x.astype(np.intp), last)
+        row = data[j]
+        left = row[i]
+        vals = left + (x - i) * (row[i + 1] - left)
+        if is_complex:
+            vals *= np.exp(-1j * w0 * tau)
+        acc[inside] += vals
+    return acc.reshape(grid.ny, grid.nx), out_of_gate
+
+
+@pytest.mark.parametrize("case", [
+    ("scaled", "D", False), ("scaled", "D", True), ("scaled", "DB", False),
+    ("scaled", "DB", True), ("gotcha", "DB", True), ("gotcha", "D", False)],
+    ids=lambda c: f"{c[0]}-{c[1]}-{'mover-v' if c[2] else 'v0'}")
+def test_migrate_is_byte_equal_to_the_per_pixel_loop(case):
+    regime, source, moving = case
+    with resources.as_file(resources.files("sarlrs").joinpath(f"data/{regime}.json")) as p:
+        sc = load_scenario(p)
+    data = (synthesize_baseband_direct if source == "DB" else synthesize_downramped)(sc)
+    v = next(t for t in sc.targets if not t.stationary).velocity if moving else [0.0] * 3
+    if regime == "gotcha":  # the benchmark's grid: +-60 m in 121 x 121 pixels
+        grid = ImagingGrid(center=sc.reference_point, extent_x=60.0, extent_y=60.0,
+                           nx=121, ny=121)
+    else:  # unequal axes, off the ground plane, reaching past both ends of the gate
+        grid = ImagingGrid(center=[5.3, -3.1, 2.2], extent_x=200.7, extent_y=120.9,
+                           nx=31, ny=19)
+    img = migrate(data, sc, grid, hypothesis_velocity=v)
+    values, out_of_gate = migrate_per_pixel(data, sc, grid, v)
+    assert img.values.dtype == values.dtype and img.values.shape == values.shape
+    assert img.values.tobytes() == values.tobytes()
+    assert img.out_of_gate == out_of_gate > 0
+
+
+def test_migrate_takes_its_delays_from_the_grid_kernel_once_per_pulse(monkeypatch,
+                                                                      scaled_scenario):
+    # a stand-in kernel puts pixel (m, k) on sample 3 + k + nx m of every row, so
+    # the image is made of those samples only if no other delay reaches it
+    sc = scaled_scenario
+    t = fast_times(sc)
+    grid = ImagingGrid(center=[0.0, 0.0, 0.0], extent_x=10.0, extent_y=5.0, nx=5, ny=3)
+    sample = 3 + np.arange(grid.nx)[None, :] + grid.nx * np.arange(grid.ny)[:, None]
+    calls = []
+
+    def kernel(scenario, xs, ys, z, velocity, s):
+        calls.append(s)
+        assert scenario is sc and (xs.size, ys.size, z) == (grid.nx, grid.ny, grid.z())
+        return t[sample]
+
+    for module in (simulate, imaging):
+        monkeypatch.setattr(module, "grid_delays", kernel)
+    data = np.random.default_rng(5).standard_normal((sc.platform.pulse_count, t.size))
+    img = migrate(data, sc, grid, hypothesis_velocity=[3.0, 0.0, 0.0])
+    assert calls == list(sc.slow_times())
+    assert img.out_of_gate == 0
+    assert np.allclose(img.values, data[:, sample].sum(axis=0), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("edge", [0, -1], ids=["first", "last"])

@@ -7,7 +7,8 @@ import pytest
 
 from sarlrs import simulate
 from sarlrs.errors import GateTooNarrow
-from sarlrs.scenario import C_LIGHT, Platform, SamplingGrid, Target, load_scenario
+from sarlrs.imaging import ImagingGrid
+from sarlrs.scenario import C_LIGHT, Platform, SamplingGrid, Target, advect, load_scenario
 from sarlrs.simulate import (ENVELOPE_ZERO, column_support, delta_tau,
                              fast_time_gate, fast_times,
                              synthesize_baseband_direct, synthesize_downramped,
@@ -49,7 +50,11 @@ def dense_synthesize(scenario, dtype, carrier):
 
 
 def dense_downramped(sc):
-    return dense_synthesize(sc, float, lambda w0, arg, dtau: np.cos(w0 * arg))
+    # the package's carrier, cos(w0 t) cos(w0 dtau) + sin(w0 t) sin(w0 dtau)
+    wt = sc.pulse.carrier_angular_frequency * fast_times(sc)
+    return dense_synthesize(sc, float, lambda w0, arg, dtau: (
+        np.cos(wt)[None, :] * np.cos(w0 * dtau)[:, None]
+        + np.sin(wt)[None, :] * np.sin(w0 * dtau)[:, None]))
 
 
 def dense_baseband(sc):
@@ -92,6 +97,54 @@ def test_band_limited_synthesis_is_byte_identical_to_dense(name):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_downramped_carrier_is_within_its_rounding_bound_of_the_per_sample_cosine(name):
+    # The package's carrier cos(a) cos(b) + sin(a) sin(b), a = fl(w0 t) and
+    # b = fl(w0 dtau), is cos(w0 (t - dtau)) of a phase that is off by at most
+    # u (w0 |t| + w0 |dtau|), u = 2^-53; the per-sample form's phase
+    # fl(w0 fl(t - dtau)) is off by at most 2 u w0 |t - dtau|.  On top of the
+    # phases: cos and sin within 4 ulp (4u on [-1, 1]), two products and a sum
+    # rounding by u each, 23u in all; the shared envelope and reflectivity
+    # products 4u more; and summing n targets in the same order 2 (n - 1) u of
+    # the sum of |terms|.  The bound allows 32 + 2n in place of those 27 + 2(n - 1),
+    # and 8 of the smallest subnormal per target for entries that underflow.
+    # Measured worst entries: 4.9e-14 on scaled, 3.1e-13 on gotcha and 8.4e-14
+    # on its 0.05-reflectivity mover alone, each phase reaching ~1e4 rad.
+    sc = ORACLE_SCENES[name]()
+    D = synthesize_downramped(sc)
+    t = fast_times(sc)
+    w0 = sc.pulse.carrier_angular_frequency
+    B = sc.pulse.bandwidth_parameter
+    u, n = 2.0 ** -53, len(sc.targets)
+    ref = np.zeros_like(D)
+    bound = np.full_like(D, 8 * n * np.finfo(float).smallest_subnormal)
+    for tgt, dtau in zip(sc.targets, simulate._all_delays(sc) if n else []):
+        arg = t[None, :] - dtau[:, None]
+        envelope = np.exp(-B * B * arg * arg / 2.0)
+        ref += tgt.reflectivity * (np.cos(w0 * arg) * envelope)
+        phase = w0 * (np.abs(t)[None, :] + np.abs(dtau)[:, None] + 2.0 * np.abs(arg))
+        bound += abs(tgt.reflectivity) * envelope * (u * (phase + 32 + 2 * n))
+    assert np.all(np.abs(D - ref) <= bound)
+
+
+def test_downramped_carrier_tables_cover_only_the_reached_columns(monkeypatch):
+    # 16 rows of the gotcha mover: the cos and sin tables span the columns
+    # those rows' windows reach, not the gate
+    sc = pinned(shipped("gotcha")).moving_only()
+    cols, width = fast_times(sc).size, window_columns(sc)
+    delays = simulate._all_delays(sc)[0, :16]
+    reach = (delays.max() - delays.min()) / sc.sampling.delta_t + width + 2
+    evaluated = []
+    for name in ("cos", "sin"):
+        trig = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, *a, _f=trig, **k:
+                            evaluated.append(np.size(x)) or _f(x, *a, **k))
+    synthesize_downramped(sc, rows=slice(0, 16))
+    # per function, one table of the 16 rows' delays and one of the reached columns
+    tables = sorted(evaluated)
+    assert tables[:2] == [16, 16] and tables[2] == tables[3] <= reach < cols / 4
+
+
 def test_gotcha_synthesis_evaluates_only_the_envelope_windows(monkeypatch):
     sc = shipped("gotcha")
     rows, cols = sc.platform.pulse_count, fast_times(sc).size
@@ -120,6 +173,21 @@ def test_row_slices_are_byte_identical_to_the_whole_matrix(regime, synthesize):
         part = synthesize(sc, rows=rows)
         assert part.dtype == whole.dtype and part.shape == whole[rows].shape
         assert part.tobytes() == whole[rows].tobytes()
+
+
+@pytest.mark.parametrize("velocity", [(0.0, 0.0, 0.0), (4.1, -7.3, 0.8)],
+                         ids=["v0", "v-with-z"])
+@pytest.mark.parametrize("regime", ["scaled", "gotcha"])
+def test_grid_delays_are_byte_equal_to_the_advected_points(regime, velocity):
+    sc = shipped(regime)
+    grid = ImagingGrid(center=[3.1, -2.2, 1.5], extent_x=40.3, extent_y=25.7, nx=17, ny=11)
+    points = grid.points()
+    v = np.asarray(velocity)
+    for s in sc.slow_times():  # the whole aperture
+        got = simulate.grid_delays(sc, grid.xs(), grid.ys(), grid.z(), v, s)
+        assert got.shape == (grid.ny, grid.nx)
+        ref = simulate.differential_delay(sc, advect(points, v, s), s)
+        assert got.tobytes() == ref.tobytes()
 
 
 def delay_reference(sc, points, s):
