@@ -14,9 +14,43 @@ samples; `to_solve_grid` puts it on the critically sampled, C-ordered grid
 of K samples, and `from_solve_grid` moves that grid back onto the gate's.
 `solve_grid_scale` is the one statement of how values change between the
 two grids.  Only the gate side carries the mixer and its t0.
+
+The gate-length maps, `_band`'s real FFT and `_to_gate`'s inverse FFT and
+mixer, run over blocks of rows, and each block is one task.  numpy's FFT
+releases the interpreter lock for a whole block, so when the process may use
+more than one CPU (`os.sched_getaffinity`) the tasks run on a
+ThreadPoolExecutor of a thread per CPU.  With one CPU or one block, or below
+THREADED_ENTRIES gate entries n m, they run in the caller's thread; no
+thread outlives the call.  Each task writes only its own rows of one
+preallocated output, the n x K band or the n x m gate matrix, and each
+thread reuses one rfft buffer through `out=`, so no whole-matrix rfft
+(m/2 + 1 bins a row, 60 MB on `gotcha`) is made.  A row's transform is the
+same arithmetic in any block on any thread, so every output is the same to
+the byte whatever the CPU count.
+
+The block sizes were set by timing the maps on `gotcha` (2 vCPU, medians of
+15 calls).  `_to_gate` took 146-172 ms on one thread and 85-105 ms on two
+with 4 to 32 rows a task; GATE_ROWS is 16.  `_band` took 62-67 ms on one
+thread and, on two, 65-73, 50-54, 46, 45 and 41-45 ms with 1, 2, 4, 8 and
+16 rows a task.  Its tasks take as many rows as fill RFFT_BUFFER_BYTES of
+rfft output, 4 rows on `gotcha` (43 on `scaled`), because larger buffers
+cost memory: with 8 or 16 rows (2 or 4 MB a thread) one `gotcha` front-end
+pass of the benchmark peaked at 347.4 MB, with 1 to 4 rows at 342.5-343.2
+MB, as with the whole-matrix rfft (342.6 MB).  Below about 2^20 entries
+the pool costs more than it saves: on one thread against two, a 101 x 3000
+matrix (`scaled`) took 2.0 against 3.2 ms in `_band` and 3.6 against 3.7 ms
+in `_to_gate`, 400 x 3000 took 7.9 against 6.4 and 16.4 against 11.0 ms,
+32 x 32000 8.6 against 9.0 and 18.2 against 15.6 ms, and 237 x 32000
+(`gotcha`) 72 against 47 and 161 against 103 ms.  Only these maps are
+threaded.  Two threads over synthesis rows took 92 ms against 101 ms on
+one, splitting migration's pixels gained nothing, and the RPCA pass took
+102 ms against 97 ms.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -29,6 +63,9 @@ from .scenario import Pulse
 # w0/B >= ~7 to stay outside; narrowband scenes (w0/B >= 10) always do.
 PASSBAND_OVER_B = 6.0
 PASSBAND_GAIN = 2.0
+RFFT_BUFFER_BYTES = 1 << 20  # bytes of a thread's rfft buffer in `_band`; sets its task rows
+GATE_ROWS = 16               # rows per task of `_to_gate`'s inverse FFT and mixer
+THREADED_ENTRIES = 1 << 20   # maps of fewer n x m entries run in the caller's thread
 
 
 def to_baseband(D: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
@@ -91,10 +128,23 @@ def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
     w0 = pulse.carrier_angular_frequency
     if w0 * delta_t >= np.pi:
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
-    k = passband_bins(D.shape[1], pulse, delta_t)
-    # a real row's bin -j is the conjugate of its rfft bin j; `take` keeps C order
-    half = np.take(np.fft.rfft(D, axis=1, norm="forward"), np.abs(k), axis=1)
-    return PASSBAND_GAIN * np.where(k < 0, half.conj(), half), k
+    n, m = D.shape
+    k = passband_bins(m, pulse, delta_t)
+    cols, flip = np.abs(k), int(np.count_nonzero(k < 0))  # k ascends: negatives lead
+    band = np.empty((n, k.size), dtype=complex)
+
+    def work(rows, half):
+        block, out = D[rows], band[rows]
+        half = half[:block.shape[0]]
+        np.fft.rfft(block, axis=1, norm="forward", out=half)
+        # a real row's bin -j is the conjugate of its rfft bin j
+        np.take(half, cols, axis=1, out=out, mode="clip")
+        np.conjugate(out[:, :flip], out=out[:, :flip])
+        out *= PASSBAND_GAIN
+
+    size = max(1, min(n, RFFT_BUFFER_BYTES // (16 * (m // 2 + 1))))
+    _by_row_blocks(D.shape, size, work, lambda: np.empty((size, m // 2 + 1), dtype=complex))
+    return band, k
 
 
 def to_solve_grid(D: np.ndarray, pulse: Pulse, delta_t: float) -> np.ndarray:
@@ -125,10 +175,55 @@ def from_solve_grid(M: np.ndarray, pulse: Pulse, delta_t: float, m: int, t0: flo
 def _to_gate(band, bins, m: int, pulse: Pulse, delta_t: float, t0: float) -> np.ndarray:
     """Rows of m-point DFT values on `bins` (norm="forward") as m samples, mixed up."""
     out = np.zeros((band.shape[0], m), dtype=complex)
-    out[:, bins] = band
-    np.fft.ifft(out, axis=1, norm="forward", out=out)
-    out *= _mixer(m, pulse.carrier_angular_frequency, delta_t, t0)
+    mixer = _mixer(m, pulse.carrier_angular_frequency, delta_t, t0)
+
+    def work(rows, _):
+        block = out[rows]
+        block[:, bins] = band[rows]
+        np.fft.ifft(block, axis=1, norm="forward", out=block)
+        block *= mixer
+
+    _by_row_blocks(out.shape, GATE_ROWS, work, lambda: None)
     return out
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _by_row_blocks(shape: tuple[int, int], size: int, work, scratch) -> None:
+    """work(rows, buffer) for each `size`-row slice `rows` of an n x m map, each slice one task.
+
+    With one CPU, one block or fewer than THREADED_ENTRIES entries n m, the tasks
+    run in the caller's thread with one buffer from scratch().  Otherwise a
+    ThreadPoolExecutor of a thread per CPU, at most one per block, runs them, and
+    each thread makes one buffer and reuses it.  The pool's threads are joined
+    before this returns, or raises a task's exception.
+    """
+    n, m = shape
+    starts = range(0, n, size)
+    workers = min(_cpus(), len(starts)) if n * m >= THREADED_ENTRIES else 1
+    if workers <= 1:
+        buffer = scratch()
+        for i in starts:
+            work(slice(i, i + size), buffer)
+        return
+    # imported here, not with the module: it adds about 7 ms to every start-up
+    from concurrent.futures import ThreadPoolExecutor
+    own = threading.local()
+
+    def task(i):
+        if not hasattr(own, "buffer"):
+            own.buffer = scratch()
+        work(slice(i, i + size), own.buffer)
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(task, starts):
+            pass
 
 
 def _mixer(m: int, w: float, delta_t: float, t0: float) -> np.ndarray:

@@ -62,7 +62,7 @@ def _distance(a, b) -> np.ndarray:
 def _delay(scenario: Scenario, r: np.ndarray, dx, dy, dz) -> np.ndarray:
     """(2/c) * (|(dx, dy, dz)| - |r - rho_o|): the differential delay of the points
     at offsets (dx, dy, dz) from the platform position r."""
-    return 2.0 * (_norm3(dx, dy, dz) - _distance(r, scenario.reference_point)) / C_LIGHT
+    return (_norm3(dx, dy, dz) - _distance(r, scenario.reference_point)) / (C_LIGHT / 2)
 
 
 def travel_time(scenario: Scenario, s: float, point) -> float:
@@ -130,11 +130,23 @@ def fast_time_gate(scenario: Scenario) -> tuple[float, float]:
 
 
 def _smooth_length(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m: FFTs at such lengths avoid large prime factors."""
-    n = m
-    while pow(30, n, n):  # n is 5-smooth exactly when it divides 30^n
-        n += 1
-    return n
+    """The smallest 2^a 3^b 5^c >= m: FFTs at such lengths avoid large prime factors.
+
+    Each 3^b 5^c below the best length so far is doubled up to m, starting from
+    the power of two >= m.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            n = p35
+            while n < m:
+                n *= 2
+            best = min(best, n)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def fast_times(scenario: Scenario) -> np.ndarray:
@@ -179,6 +191,7 @@ def _synthesize(scenario: Scenario, baseband: bool, rows: slice) -> np.ndarray:
     starts = np.clip(np.floor((delays - ENVELOPE_ZERO / B - t[0]) / dt).astype(np.intp) - 1,
                      0, cols - width)
     lo = int(starts.min())
+    curvature = -B * B / 2.0  # the envelope is exp(curvature arg^2)
     if not baseband:
         wt, wd = w0 * t[lo:int(starts.max()) + width], w0 * delays
         cos_t, sin_t = np.cos(wt), np.sin(wt)
@@ -194,7 +207,7 @@ def _synthesize(scenario: Scenario, baseband: bool, rows: slice) -> np.ndarray:
             else:
                 k = c - lo
                 carrier = cos_t[k:k + width] * cos_d[i][j] + sin_t[k:k + width] * sin_d[i][j]
-            M[j, c:c + width] += tgt.reflectivity * (carrier * np.exp(-B * B * arg * arg / 2.0))
+            M[j, c:c + width] += tgt.reflectivity * (carrier * np.exp(curvature * arg * arg))
     return M
 
 

@@ -1,11 +1,16 @@
+import concurrent.futures
 import json
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from sarlrs import baseband
 from sarlrs.baseband import (from_baseband, from_solve_grid, passband_bins, solve_grid_scale,
                              to_baseband, to_solve_grid)
 from sarlrs.cli import main
@@ -244,3 +249,93 @@ def test_solve_grid_is_c_ordered(regime):
     DB_K = to_solve_grid(synthesize_downramped(sc), sc.pulse, sc.sampling.delta_t)
     assert DB_K.flags.c_contiguous
     assert np.shares_memory(np.ascontiguousarray(DB_K, np.complex128), DB_K)
+
+
+def _on_cpus(monkeypatch, count):
+    """Give this process `count` CPUs as the maps see them, and record each pool they start."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    return pools
+
+
+def _maps(D, M, pulse, dt):
+    m = D.shape[1]
+    return (to_baseband(D, pulse, dt, t0=-2e-7), to_solve_grid(D, pulse, dt),
+            from_solve_grid(M, pulse, dt, m, t0=-2e-7))
+
+
+# at 3000 columns the band's tasks take the rows whose rfft fills the buffer
+BAND_ROWS = baseband.RFFT_BUFFER_BYTES // (16 * 1501)
+GATE_ROWS = baseband.GATE_ROWS
+
+
+@pytest.mark.parametrize("rows", sorted({1, 237} | {b + d for b in (BAND_ROWS, GATE_ROWS)
+                                                     for d in (-1, 0, 1)}))
+def test_threaded_maps_are_byte_equal_to_one_block_on_one_thread(monkeypatch, rows):
+    sc = make_scenario(n=2)
+    pulse, dt = sc.pulse, sc.sampling.delta_t
+    rng = np.random.default_rng(rows)
+    D = rng.standard_normal((rows, 3000))
+    K = passband_bins(3000, pulse, dt).size
+    M = rng.standard_normal((rows, K)) + 1j * rng.standard_normal((rows, K))
+    with monkeypatch.context() as one:
+        one.setattr(baseband, "RFFT_BUFFER_BYTES", rows * 16 * 1501)
+        one.setattr(baseband, "GATE_ROWS", rows)
+        assert _on_cpus(one, 1) == []
+        whole = _maps(D, M, pulse, dt)
+    before = set(threading.enumerate())
+    monkeypatch.setattr(baseband, "THREADED_ENTRIES", 0)
+    for workers in (1, 2, 3):
+        pools = _on_cpus(monkeypatch, workers)
+        for got, want in zip(_maps(D, M, pulse, dt), whole):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # to_baseband maps the band and then the gate, the grids one each: a pool of a
+        # thread per CPU, at most one per block, for each; one CPU or one block starts none
+        band, gate = (min(workers, -(-rows // size)) for size in (BAND_ROWS, GATE_ROWS))
+        assert pools == [t for t in (band, gate, band, gate) if t > 1]
+        assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("transform", ["rfft", "ifft"])
+def test_an_exception_in_a_block_propagates_and_no_worker_outlives_the_map(monkeypatch,
+                                                                          transform):
+    sc = make_scenario(n=2)
+    pulse, dt = sc.pulse, sc.sampling.delta_t
+    D = np.random.default_rng(0).standard_normal((237, 3000))
+    monkeypatch.setattr(baseband, "THREADED_ENTRIES", 0)
+    pools = _on_cpus(monkeypatch, 2)
+    original, calls = getattr(np.fft, transform), []
+
+    class Injected(Exception):
+        pass
+
+    def failing(a, *args, **kwargs):
+        calls.append(threading.get_ident())
+        if len(calls) == 3:
+            raise Injected
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, transform, failing)
+    before = set(threading.enumerate())
+    with pytest.raises(Injected):
+        to_baseband(D, pulse, dt)
+    # the band's map raises on rfft; the gate's, after the band's, on ifft
+    assert pools == [2] * (1 if transform == "rfft" else 2)
+    assert threading.get_ident() not in calls
+    assert set(threading.enumerate()) == before
+
+
+def test_maps_below_the_threaded_size_run_in_the_callers_thread(monkeypatch):
+    # 349 x 3000 entries fall below 2^20, 350 x 3000 reach it
+    sc = make_scenario(n=2)
+    pools = _on_cpus(monkeypatch, 2)
+    for rows, started in ((349, []), (350, [2, 2])):
+        D = np.random.default_rng(rows).standard_normal((rows, 3000))
+        to_baseband(D, sc.pulse, sc.sampling.delta_t)
+        assert pools == started

@@ -374,3 +374,20 @@ def test_stationary_variation_below_moving_variation():
     s = sc.slow_times()
     var = [np.ptp(delta_tau(sc, t, s)) for t in sc.targets]
     assert var[0] < var[1]
+
+
+def _smooth_by_scan(m):
+    """The first n >= m that divides 30^n, i.e. has no prime factor above 5."""
+    n = m
+    while pow(30, n, n):
+        n += 1
+    return n
+
+
+def test_smooth_length_is_the_first_5_smooth_length():
+    assert all(simulate._smooth_length(m) == _smooth_by_scan(m) for m in range(1, 20001))
+    for regime, m in (("scaled", 3000), ("gotcha", 32000)):
+        sc = shipped(regime)
+        t0, t1 = fast_time_gate(sc)
+        gate = math.floor((t1 - t0) / sc.sampling.delta_t) + 1
+        assert gate < m and simulate._smooth_length(gate) == m
