@@ -16,27 +16,27 @@ of K samples, and `from_solve_grid` moves that grid back onto the gate's.
 two grids.  Only the gate side carries the mixer and its t0.
 
 The gate-length maps, `_band`'s real FFT and `_to_gate`'s inverse FFT and
-mixer, run over blocks of rows, and each block is one task.  numpy's FFT
-releases the interpreter lock for a whole block, so when the process may use
-more than one CPU (`os.sched_getaffinity`) the tasks run on a
-ThreadPoolExecutor of a thread per CPU.  With one CPU or one block, or below
-THREADED_ENTRIES gate entries n m, they run in the caller's thread; no
-thread outlives the call.  Each task writes only its own rows of one
-preallocated output, the n x K band or the n x m gate matrix, and each
-thread reuses one rfft buffer through `out=`, so no whole-matrix rfft
-(m/2 + 1 bins a row, 60 MB on `gotcha`) is made.  A row's transform is the
-same arithmetic in any block on any thread, so every output is the same to
-the byte whatever the CPU count.
+mixer, split their rows into one contiguous range per worker.  numpy's FFT
+releases the interpreter lock for a whole block of rows, so when the process
+may use more than one CPU (`os.sched_getaffinity`) the ranges run on a
+ThreadPoolExecutor of a thread per CPU, at most one per row.  Below
+THREADED_ENTRIES gate entries n m, or with one worker, the one range of all
+rows runs in the caller's thread; no thread outlives the call.  Each worker
+writes only its own rows of one preallocated output, the n x K band or the
+n x m gate matrix.  `_to_gate` transforms its range in place in one call;
+`_band` takes its range BAND_ROWS rows at a time through one rfft buffer of
+its own, so no whole-matrix rfft (m/2 + 1 bins a row, 60 MB on `gotcha`) is
+made.  A row's transform is the same arithmetic in any range on any thread,
+so every output is the same to the byte whatever the CPU count.
 
-The block sizes were set by timing the maps on `gotcha` (2 vCPU, medians of
+The block size was set by timing the maps on `gotcha` (2 vCPU, medians of
 15 calls).  `_to_gate` took 146-172 ms on one thread and 85-105 ms on two
-with 4 to 32 rows a task; GATE_ROWS is 16.  `_band` took 62-67 ms on one
-thread and, on two, 65-73, 50-54, 46, 45 and 41-45 ms with 1, 2, 4, 8 and
-16 rows a task.  Its tasks take as many rows as fill RFFT_BUFFER_BYTES of
-rfft output, 4 rows on `gotcha` (43 on `scaled`), because larger buffers
-cost memory: with 8 or 16 rows (2 or 4 MB a thread) one `gotcha` front-end
-pass of the benchmark peaked at 347.4 MB, with 1 to 4 rows at 342.5-343.2
-MB, as with the whole-matrix rfft (342.6 MB).  Below about 2^20 entries
+with 4 to 32 rows a block, so it needs no block of its own.  `_band` took
+62-67 ms on one thread and, on two, 65-73, 50-54, 46, 45 and 41-45 ms with
+1, 2, 4, 8 and 16 rows a block.  Larger buffers cost memory: with 8 or 16
+rows (2 or 4 MB a thread) one `gotcha` front-end pass of the benchmark
+peaked at 347.4 MB, with 1 to 4 rows at 342.5-343.2 MB, as with the
+whole-matrix rfft (342.6 MB); BAND_ROWS is 4.  Below about 2^20 entries
 the pool costs more than it saves: on one thread against two, a 101 x 3000
 matrix (`scaled`) took 2.0 against 3.2 ms in `_band` and 3.6 against 3.7 ms
 in `_to_gate`, 400 x 3000 took 7.9 against 6.4 and 16.4 against 11.0 ms,
@@ -50,7 +50,6 @@ one, splitting migration's pixels gained nothing, and the RPCA pass took
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -63,8 +62,7 @@ from .scenario import Pulse
 # w0/B >= ~7 to stay outside; narrowband scenes (w0/B >= 10) always do.
 PASSBAND_OVER_B = 6.0
 PASSBAND_GAIN = 2.0
-RFFT_BUFFER_BYTES = 1 << 20  # bytes of a thread's rfft buffer in `_band`; sets its task rows
-GATE_ROWS = 16               # rows per task of `_to_gate`'s inverse FFT and mixer
+BAND_ROWS = 4                # rows of a worker's rfft buffer in `_band`
 THREADED_ENTRIES = 1 << 20   # maps of fewer n x m entries run in the caller's thread
 
 
@@ -133,17 +131,18 @@ def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
     cols, flip = np.abs(k), int(np.count_nonzero(k < 0))  # k ascends: negatives lead
     band = np.empty((n, k.size), dtype=complex)
 
-    def work(rows, half):
-        block, out = D[rows], band[rows]
-        half = half[:block.shape[0]]
-        np.fft.rfft(block, axis=1, norm="forward", out=half)
-        # a real row's bin -j is the conjugate of its rfft bin j
-        np.take(half, cols, axis=1, out=out, mode="clip")
-        np.conjugate(out[:, :flip], out=out[:, :flip])
-        out *= PASSBAND_GAIN
+    def work(rows):
+        half = np.empty((BAND_ROWS, m // 2 + 1), dtype=complex)
+        for i in range(rows.start, rows.stop, BAND_ROWS):
+            block = slice(i, min(i + BAND_ROWS, rows.stop))
+            out, part = band[block], half[:block.stop - i]
+            np.fft.rfft(D[block], axis=1, norm="forward", out=part)
+            # a real row's bin -j is the conjugate of its rfft bin j
+            np.take(part, cols, axis=1, out=out, mode="clip")
+            np.conjugate(out[:, :flip], out=out[:, :flip])
+            out *= PASSBAND_GAIN
 
-    size = max(1, min(n, RFFT_BUFFER_BYTES // (16 * (m // 2 + 1))))
-    _by_row_blocks(D.shape, size, work, lambda: np.empty((size, m // 2 + 1), dtype=complex))
+    _by_row_blocks(D.shape, work)
     return band, k
 
 
@@ -165,9 +164,13 @@ def from_solve_grid(M: np.ndarray, pulse: Pulse, delta_t: float, m: int, t0: flo
     """K-sample rows back onto the gate's m samples, mixed up with t0 as `to_baseband` is.
 
     `from_solve_grid(to_solve_grid(D), ..., m, t0)` is `to_baseband(D, ..., t0)`
-    to rounding, not D: the grid holds only the band.
+    to rounding, not D: the grid holds only the band.  M must be 2-D with K
+    columns, K the size of `passband_bins(m, ...)`, else `ConfigError`.
     """
     bins = passband_bins(m, pulse, delta_t)
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[1] != bins.size:
+        raise ConfigError(f"solve grid must be 2-D with {bins.size} columns, got shape {M.shape}")
     band = np.roll(np.fft.fft(M, axis=1, norm="forward"), -bins[0], axis=1)
     return _to_gate(band, bins, m, pulse, delta_t, t0)
 
@@ -177,13 +180,13 @@ def _to_gate(band, bins, m: int, pulse: Pulse, delta_t: float, t0: float) -> np.
     out = np.zeros((band.shape[0], m), dtype=complex)
     mixer = _mixer(m, pulse.carrier_angular_frequency, delta_t, t0)
 
-    def work(rows, _):
+    def work(rows):
         block = out[rows]
         block[:, bins] = band[rows]
         np.fft.ifft(block, axis=1, norm="forward", out=block)
         block *= mixer
 
-    _by_row_blocks(out.shape, GATE_ROWS, work, lambda: None)
+    _by_row_blocks(out.shape, work)
     return out
 
 
@@ -195,34 +198,25 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _by_row_blocks(shape: tuple[int, int], size: int, work, scratch) -> None:
-    """work(rows, buffer) for each `size`-row slice `rows` of an n x m map, each slice one task.
+def _by_row_blocks(shape: tuple[int, int], work) -> None:
+    """work(rows) once for each worker's contiguous row slice `rows` of an n x m map.
 
-    With one CPU, one block or fewer than THREADED_ENTRIES entries n m, the tasks
-    run in the caller's thread with one buffer from scratch().  Otherwise a
-    ThreadPoolExecutor of a thread per CPU, at most one per block, runs them, and
-    each thread makes one buffer and reuses it.  The pool's threads are joined
-    before this returns, or raises a task's exception.
+    With fewer than THREADED_ENTRIES entries n m there is one worker, and
+    work(slice(0, n)) runs in the caller's thread.  Otherwise there are
+    min(CPUs, n) workers, and with more than one a ThreadPoolExecutor runs
+    them, a thread each.  The pool's threads are joined before this returns,
+    or raises a worker's exception.
     """
     n, m = shape
-    starts = range(0, n, size)
-    workers = min(_cpus(), len(starts)) if n * m >= THREADED_ENTRIES else 1
+    workers = min(_cpus(), n) if n * m >= THREADED_ENTRIES else 1
     if workers <= 1:
-        buffer = scratch()
-        for i in starts:
-            work(slice(i, i + size), buffer)
+        work(slice(0, n))
         return
     # imported here, not with the module: it adds about 7 ms to every start-up
     from concurrent.futures import ThreadPoolExecutor
-    own = threading.local()
-
-    def task(i):
-        if not hasattr(own, "buffer"):
-            own.buffer = scratch()
-        work(slice(i, i + size), own.buffer)
-
+    bounds = [n * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(task, starts):
+        for _ in pool.map(work, map(slice, bounds[:-1], bounds[1:])):
             pass
 
 
@@ -232,6 +226,8 @@ def _mixer(m: int, w: float, delta_t: float, t0: float) -> np.ndarray:
 
 
 def from_baseband(DB: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
-    """Reconstruct the real down-ramped matrix: Re{exp(-1j w0 t) D_B}."""
+    """Reconstruct the real down-ramped matrix: Re{exp(-1j w0 t) D_B}.  DB must be 2-D."""
     DB = np.asarray(DB)
+    if DB.ndim != 2:
+        raise ConfigError("matrix must be 2-D")
     return np.real(DB * _mixer(DB.shape[1], -pulse.carrier_angular_frequency, delta_t, t0))

@@ -96,6 +96,11 @@ def _is_count(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
 
 
+def _is_real(x) -> bool:
+    """x is a real number: any Real but a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class RpcaConfig:
     """Solver settings.  eta is a number: callers derive it with the eta module."""
@@ -105,8 +110,9 @@ class RpcaConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        # eta and tol must be finite, positive real numbers: nan fails the comparison
-        if not all(isinstance(x, numbers.Real) and 0 < x < math.inf for x in (self.eta, self.tol)):
+        # eta and tol must be finite, positive real numbers: nan fails the comparison,
+        # and a bool is no weight or tolerance
+        if not all(_is_real(x) and 0 < x < math.inf for x in (self.eta, self.tol)):
             raise ConfigError("eta and tol must be finite, positive numbers")
         if not _is_count(self.max_iter):
             raise ConfigError("max_iter must be a positive integer")
@@ -147,10 +153,10 @@ def soft_threshold(a, eta: float, out=None):
     with an infinite part is returned as it is: its scale is exactly 1, and
     the complex product with it would put NaN in the other part (inf * 0j).
     It is written to `out` when given, as for a numpy ufunc.  eta must be a
-    real number >= 0, else `ConfigError`: eta = 0 returns a's values, and
-    eta = inf zeroes every finite entry.
+    real number >= 0 and not a bool, else `ConfigError`: eta = 0 returns a's
+    values, and eta = inf zeroes every finite entry.
     """
-    if not (isinstance(eta, numbers.Real) and eta >= 0):  # nan fails the comparison
+    if not (_is_real(eta) and eta >= 0):  # nan fails the comparison
         raise ConfigError(f"soft_threshold's eta must be a real number >= 0, got {eta!r}")
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):

@@ -270,13 +270,13 @@ def _maps(D, M, pulse, dt):
             from_solve_grid(M, pulse, dt, m, t0=-2e-7))
 
 
-# at 3000 columns the band's tasks take the rows whose rfft fills the buffer
-BAND_ROWS = baseband.RFFT_BUFFER_BYTES // (16 * 1501)
-GATE_ROWS = baseband.GATE_ROWS
+BAND_ROWS = baseband.BAND_ROWS
 
 
-@pytest.mark.parametrize("rows", sorted({1, 237} | {b + d for b in (BAND_ROWS, GATE_ROWS)
-                                                     for d in (-1, 0, 1)}))
+# row counts about one BAND_ROWS block, and counts whose ranges over 2 and 3
+# workers start and end inside a block
+@pytest.mark.parametrize("rows", [1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1,
+                                  15, 16, 17, 42, 43, 44, 237])
 def test_threaded_maps_are_byte_equal_to_one_block_on_one_thread(monkeypatch, rows):
     sc = make_scenario(n=2)
     pulse, dt = sc.pulse, sc.sampling.delta_t
@@ -285,8 +285,7 @@ def test_threaded_maps_are_byte_equal_to_one_block_on_one_thread(monkeypatch, ro
     K = passband_bins(3000, pulse, dt).size
     M = rng.standard_normal((rows, K)) + 1j * rng.standard_normal((rows, K))
     with monkeypatch.context() as one:
-        one.setattr(baseband, "RFFT_BUFFER_BYTES", rows * 16 * 1501)
-        one.setattr(baseband, "GATE_ROWS", rows)
+        one.setattr(baseband, "BAND_ROWS", rows)
         assert _on_cpus(one, 1) == []
         whole = _maps(D, M, pulse, dt)
     before = set(threading.enumerate())
@@ -297,9 +296,9 @@ def test_threaded_maps_are_byte_equal_to_one_block_on_one_thread(monkeypatch, ro
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # to_baseband maps the band and then the gate, the grids one each: a pool of a
-        # thread per CPU, at most one per block, for each; one CPU or one block starts none
-        band, gate = (min(workers, -(-rows // size)) for size in (BAND_ROWS, GATE_ROWS))
-        assert pools == [t for t in (band, gate, band, gate) if t > 1]
+        # thread per CPU, at most one per row, for each; one worker starts none
+        threads = min(workers, rows)
+        assert pools == ([threads] * 4 if threads > 1 else [])
         assert set(threading.enumerate()) == before
 
 
@@ -318,7 +317,7 @@ def test_an_exception_in_a_block_propagates_and_no_worker_outlives_the_map(monke
 
     def failing(a, *args, **kwargs):
         calls.append(threading.get_ident())
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise Injected
         return original(a, *args, **kwargs)
     monkeypatch.setattr(np.fft, transform, failing)
@@ -339,3 +338,32 @@ def test_maps_below_the_threaded_size_run_in_the_callers_thread(monkeypatch):
         D = np.random.default_rng(rows).standard_normal((rows, 3000))
         to_baseband(D, sc.pulse, sc.sampling.delta_t)
         assert pools == started
+
+
+def test_cpus_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert baseband._cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert baseband._cpus() == 1
+
+
+_SCENE = make_scenario(n=2)
+_K = passband_bins(3000, _SCENE.pulse, _SCENE.sampling.delta_t).size  # the grid's columns
+
+
+@pytest.mark.parametrize("transform, shape", [
+    ("from_solve_grid", (_K,)), ("from_solve_grid", (2, _K - 1)),
+    ("from_solve_grid", (2, _K + 1)), ("from_solve_grid", (2, 2, _K)),
+    ("from_baseband", (3000,)), ("from_baseband", (2, 2, 3000)),
+], ids=["grid-1d", "grid-short", "grid-long", "grid-3d", "baseband-1d", "baseband-3d"])
+def test_gate_maps_reject_a_matrix_of_the_wrong_shape(transform, shape):
+    # a 1-D input raised IndexError, and a grid of other than K columns numpy's
+    # shape mismatch inside a block
+    pulse, dt = _SCENE.pulse, _SCENE.sampling.delta_t
+    M = np.ones(shape, dtype=complex)
+    with pytest.raises(ConfigError):
+        if transform == "from_solve_grid":
+            from_solve_grid(M, pulse, dt, 3000, t0=0.0)
+        else:
+            from_baseband(M, pulse, dt)

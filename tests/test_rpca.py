@@ -163,10 +163,12 @@ def test_soft_threshold_integer_input_is_shrunk_as_float():
     assert np.array_equal(out, soft_threshold(a.astype(float), 1.5))
 
 
-@pytest.mark.parametrize("eta", [-1.0, -1e-300, math.nan, 1j, complex(0.5, 0), "0.5"],
-                         ids=["negative", "tiny-negative", "nan", "imaginary", "complex", "text"])
+@pytest.mark.parametrize("eta", [-1.0, -1e-300, math.nan, 1j, complex(0.5, 0), "0.5", True],
+                         ids=["negative", "tiny-negative", "nan", "imaginary", "complex", "text",
+                              "true"])
 def test_soft_threshold_rejects_an_eta_that_is_not_real_and_non_negative(eta):
-    # -1 divided by the zero |a| it counted as kept; nan kept nothing and returned zeros
+    # -1 divided by the zero |a| it counted as kept; nan kept nothing and returned zeros;
+    # True shrank by 1
     with pytest.raises(ConfigError):
         soft_threshold(np.array([0.0, 1.0]), eta)
 
@@ -620,12 +622,12 @@ def test_windowed_skips_an_all_zero_block():
 
 @pytest.mark.parametrize("setting", [
     {"eta": np.nan}, {"eta": np.inf}, {"eta": 0.0}, {"eta": -1.0}, {"eta": None},
-    {"eta": "conventional"}, {"eta": "0.1"},
-    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": None},
+    {"eta": "conventional"}, {"eta": "0.1"}, {"eta": True},
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": None}, {"tol": True},
     {"max_iter": 0}, {"max_iter": None}, {"max_iter": 2.5}, {"max_iter": True},
 ], ids=["eta-nan", "eta-inf", "eta-0", "eta-negative", "eta-none", "eta-conventional",
-        "eta-string", "tol-nan", "tol-inf", "tol-0", "tol-none", "max-iter-0",
-        "max-iter-none", "max-iter-float", "max-iter-true"])
+        "eta-string", "eta-true", "tol-nan", "tol-inf", "tol-0", "tol-none", "tol-true",
+        "max-iter-0", "max-iter-none", "max-iter-float", "max-iter-true"])
 def test_settings_must_be_finite_and_positive(setting):
     with pytest.raises(ConfigError):
         RpcaConfig(**{"eta": 0.1, **setting})
