@@ -7,9 +7,9 @@ from .simulate import (travel_time, delta_tau, synthesize_downramped,
 from .baseband import to_baseband, from_baseband
 from .rpca import (RpcaConfig, Decomposition, soft_threshold,
                    singular_value_threshold, decompose, decompose_windowed)
-from .eta import (ApertureParams, EtaBounds, analytic_column_support,
+from .eta import (ApertureParams, EtaBounds, analytic_column_support, analytic_l1,
                   eta_bounds_baseband, eta_bounds_original, conventional_eta)
-from .analysis import (l1_norm, analytic_l1, spectrum, empirical_eta_bounds,
+from .analysis import (l1_norm, spectrum, empirical_eta_bounds,
                        nuclear_velocity_exponent, separation_metrics)
 from .imaging import ImagingGrid, KmImage, migrate, peak_report
 

@@ -20,13 +20,12 @@ a gate-length split; both scores sum the same four products in `_score`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .baseband import from_solve_grid, solve_grid_scale, to_solve_grid
-from .errors import ConfigError, InsufficientSweep
+from .errors import ConfigError, InsufficientSweep, vector3
 from .eta import ApertureParams, EtaBounds, eta_bounds_baseband
 from .rpca import singular_values
 from .scenario import Scenario, Target
@@ -38,33 +37,9 @@ SCORE_ROWS = 16                # rows per synthesized reference block
 SWEEP_SPEEDS = (1.5, 2.4, 3.8, 6.0, 9.5, 15.0)  # m/s: `eta_sweeps`' decade of speeds
 
 
-class NarrowbandViolated(UserWarning):
-    """omega_0/B < 10: the stationary-phase l1 estimate loses accuracy."""
-
-
 def l1_norm(M) -> float:
     """Elementwise absolute sum (complex moduli for complex input)."""
     return float(np.sum(np.abs(M)))
-
-
-def analytic_l1(params: ApertureParams, regime: str,
-                carrier_angular_frequency: float | None = None) -> float:
-    """Closed-form l1 norm of a unit-reflectivity single-target matrix.
-
-    Independent of the target's velocity; the original (real, modulated)
-    matrix is smaller than the baseband one by exactly 2/pi.
-    """
-    b_dt = params.bandwidth_parameter * params.delta_t
-    base = 2.0 * params.aperture_time / (params.delta_s * b_dt)
-    if regime == "baseband":
-        return base * math.sqrt(2.0 * math.pi)
-    if regime == "original":
-        if (carrier_angular_frequency is not None
-                and carrier_angular_frequency / params.bandwidth_parameter < 10.0):
-            warnings.warn("omega_0/B < 10; modulated-pulse l1 estimate degrades",
-                          NarrowbandViolated)
-        return base * 2.0 * math.sqrt(2.0 / math.pi)
-    raise ValueError(f"unknown regime '{regime}'")
 
 
 @dataclass
@@ -159,8 +134,8 @@ def nuclear_velocity_exponent(scenario: Scenario, position, speeds,
     if (speeds.size < 4 or not np.all((speeds > 0) & (speeds < np.inf))
             or speeds[-1] / speeds[0] < 10.0):
         raise InsufficientSweep("need >= 4 finite, positive speeds spanning at least one decade")
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (3,) or not 0 < np.linalg.norm(direction) < np.inf:  # nan fails
+    direction = vector3(direction, "direction")
+    if not 0 < np.linalg.norm(direction) < np.inf:
         raise ConfigError("direction must be a finite, nonzero 3-vector")
     direction = direction / np.linalg.norm(direction)
     nuclear, frobenius, l1, ratio = np.array([

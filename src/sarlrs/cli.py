@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from importlib import resources
@@ -45,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, baseband, eta, imaging, matrixio, rpca, simulate
-from .errors import ConfigError, NumericalError, PhysicsError
+from .errors import ConfigError, NumericalError, PhysicsError, vector3
 from .scenario import (Scenario, Target, load_scenario, scenario_hash,
                        serialize_scenario)
 
@@ -175,14 +174,13 @@ def _grid(args, sc: Scenario) -> imaging.ImagingGrid:
                                nx=args.grid_pixels, ny=args.grid_pixels)
 
 
-def _velocity(text: str | None) -> list[float]:
+def _velocity(text: str | None) -> np.ndarray:
+    """--velocity's vx,vy,vz as a 3-vector; none given is zero."""
     try:
         velocity = [float(x) for x in text.split(",")] if text else [0.0] * 3
     except ValueError:
-        velocity = []
-    if len(velocity) != 3 or not all(math.isfinite(x) for x in velocity):
-        raise ConfigError("--velocity must be vx,vy,vz, each finite")
-    return velocity
+        raise ConfigError(f"--velocity must be vx,vy,vz, got '{text}'") from None
+    return vector3(velocity, "--velocity")
 
 
 def _run(args, last: str) -> int:

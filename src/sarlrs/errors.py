@@ -1,10 +1,27 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the rules for input values.
 
 Exit-code mapping used by the CLI:
   ConfigError            -> 1
   PhysicsError subtypes  -> 2
   NumericalError subtypes-> 3
+
+Every module checks a number, a count or a 3-vector with one of the rules
+below, and each raises `ConfigError` naming the value:
+  finite    a `numbers.Real` that is not a bool, NaN or +-inf, returned as a float;
+  positive  a finite number > 0, returned as a float;
+  count     a `numbers.Integral` that is not a bool and is >= a lower bound
+            (1 unless given), returned as an int;
+  vector3   three finite numbers, returned as a float array.
+A bool counts nothing and weighs nothing, so no rule takes one, and no rule
+converts text: a quoted "2e8" is not a number.
 """
+
+from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class SarlrsError(Exception):
@@ -45,3 +62,46 @@ class SvdFailure(NumericalError):
 
 class InsufficientSweep(ConfigError):
     """A sweep needs at least 4 points spanning one decade."""
+
+
+def _as_finite(value) -> float | None:
+    """value as a float if it is a finite real number other than a bool, else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the range of a float
+        return None
+    return x if math.isfinite(x) else None
+
+
+def finite(value, name: str) -> float:
+    """value as a float: a real number that is not a bool, NaN or +-inf."""
+    x = _as_finite(value)
+    if x is None:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def positive(value, name: str) -> float:
+    """value as a float: a finite number > 0."""
+    x = finite(value, name)
+    if x <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return x
+
+
+def count(value, name: str, least: int = 1) -> int:
+    """value as an int: an integer that is not a bool and is >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def vector3(value, name: str) -> np.ndarray:
+    """value as a float array of shape (3,): three finite numbers."""
+    entries = np.asarray(value, dtype=object)  # 0-d for a scalar, set, dict or text
+    items = [_as_finite(x) for x in entries] if entries.shape == (3,) else [None]
+    if None in items:
+        raise ConfigError(f"{name} must be 3 finite numbers, got {value!r}")
+    return np.array(items)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, count, positive, vector3
 from .scenario import Scenario
 from .simulate import fast_times, grid_delays
 
@@ -35,11 +35,11 @@ class ImagingGrid:
     ny: int
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not (0 < self.extent_x < np.inf and 0 < self.extent_y < np.inf
-                and np.all(np.isfinite(self.center)) and self.nx >= 2 and self.ny >= 2):
-            raise ConfigError("grid extents must be positive and finite, the center finite, "
-                              "with >= 2 pixels per axis")
+        object.__setattr__(self, "center", vector3(self.center, "grid center"))
+        positive(self.extent_x, "grid extent_x")
+        positive(self.extent_y, "grid extent_y")
+        count(self.nx, "grid nx", least=2)
+        count(self.ny, "grid ny", least=2)
 
     def xs(self) -> np.ndarray:
         return self.center[0] + np.linspace(-self.extent_x, self.extent_x, self.nx)
@@ -48,7 +48,7 @@ class ImagingGrid:
         return self.center[1] + np.linspace(-self.extent_y, self.extent_y, self.ny)
 
     def z(self) -> float:
-        return float(self.center[2]) if self.center.size > 2 else 0.0
+        return float(self.center[2])
 
     def points(self) -> np.ndarray:
         """(ny*nx, 3) pixel coordinates, row-major over (y, x)."""
@@ -80,9 +80,7 @@ def migrate(data: np.ndarray, scenario: Scenario, grid: ImagingGrid,
     if data.ndim != 2 or data.shape != (scenario.platform.pulse_count, t.size):
         raise ConfigError("matrix shape does not match the scenario's sampling grid")
     s = scenario.slow_times()
-    v = np.asarray(hypothesis_velocity, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ConfigError("hypothesis velocity must be finite")
+    v = vector3(hypothesis_velocity, "hypothesis velocity")
     xs, ys, z = grid.xs(), grid.ys(), grid.z()
     w0 = scenario.pulse.carrier_angular_frequency
     dt = scenario.sampling.delta_t

@@ -69,13 +69,12 @@ slower, and whole arrays twice as slow.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, SvdFailure
+from .errors import ConfigError, SvdFailure, count, finite, positive
 
 MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
 RHO = 1.4                    # penalty growth factor per iteration
@@ -91,16 +90,6 @@ CHUNK = 8192                 # entries per slice of decompose's elementwise pass
 BLOCK = 4096                 # columns per block of SVT's Gram sum and product
 
 
-def _is_count(x) -> bool:
-    """x is a positive integer: any Integral but a bool, which counts nothing."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
-
-
-def _is_real(x) -> bool:
-    """x is a real number: any Real but a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class RpcaConfig:
     """Solver settings.  eta is a number: callers derive it with the eta module."""
@@ -110,12 +99,9 @@ class RpcaConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        # eta and tol must be finite, positive real numbers: nan fails the comparison,
-        # and a bool is no weight or tolerance
-        if not all(_is_real(x) and 0 < x < math.inf for x in (self.eta, self.tol)):
-            raise ConfigError("eta and tol must be finite, positive numbers")
-        if not _is_count(self.max_iter):
-            raise ConfigError("max_iter must be a positive integer")
+        positive(self.eta, "eta")
+        positive(self.tol, "tol")
+        count(self.max_iter, "max_iter")
 
 
 @dataclass
@@ -153,10 +139,11 @@ def soft_threshold(a, eta: float, out=None):
     with an infinite part is returned as it is: its scale is exactly 1, and
     the complex product with it would put NaN in the other part (inf * 0j).
     It is written to `out` when given, as for a numpy ufunc.  eta must be a
-    real number >= 0 and not a bool, else `ConfigError`: eta = 0 returns a's
-    values, and eta = inf zeroes every finite entry.
+    finite number >= 0 (`errors.finite`) or the float +inf, else
+    `ConfigError`: eta = 0 returns a's values, and eta = inf zeroes every
+    finite entry.
     """
-    if not (_is_real(eta) and eta >= 0):  # nan fails the comparison
+    if not (isinstance(eta, float) and eta == math.inf) and finite(eta, "eta") < 0:
         raise ConfigError(f"soft_threshold's eta must be a real number >= 0, got {eta!r}")
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
@@ -173,7 +160,13 @@ def soft_threshold(a, eta: float, out=None):
 
 
 def _short_side(M: np.ndarray) -> tuple[np.ndarray, bool]:
-    """M, or its view M^T (same singular values) when M is tall, and whether it was flipped."""
+    """M, or its view M^T (same singular values) when M is tall, and whether it was flipped.
+
+    Every spectrum and SVT takes its short side here, so this is where a
+    matrix that is not 2-D is rejected.
+    """
+    if M.ndim != 2:
+        raise ConfigError(f"matrix must be 2-D, got shape {M.shape}")
     tall = M.shape[0] > M.shape[1]
     return (M.T if tall else M), tall
 
@@ -405,7 +398,8 @@ def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decom
     all-zero block is not solved: its L and S are zero.
     """
     D = np.asarray(D)
-    if not _is_count(windows) or windows > D.shape[0]:
+    _short_side(D)  # ConfigError unless D is 2-D
+    if count(windows, "windows") > D.shape[0]:
         raise ConfigError("windows must be an integer in [1, row count]")
     if windows == 1 and np.any(D):
         one = decompose(D, config)

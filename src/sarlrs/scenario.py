@@ -2,6 +2,11 @@
 
 All quantities are SI. Scenario JSON files carry plain frequencies in Hz
 (field names say so); they are converted to angular frequencies on load.
+
+Each type checks its own values with the rules of `errors` (a finite or
+positive number, a count, a 3-vector) and stores what the rule returns, a
+float, an int or a float array, whether it is built from a JSON file or in
+Python.  So the reader only names fields, and a JSON `1` serializes as `1.0`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, count, finite, positive, vector3
 
 C_LIGHT = 299_792_458.0
 
@@ -27,14 +32,21 @@ def advect(position, velocity, s):
     return position + velocity * s[..., None]
 
 
+def _store(obj, **values) -> None:
+    """Set a frozen dataclass's fields to the values its checks returned."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Pulse:
     carrier_angular_frequency: float  # omega_0 [rad/s]
     bandwidth_parameter: float        # B [rad/s], pulse envelope exp(-B^2 t^2 / 2)
 
     def __post_init__(self):
-        if self.carrier_angular_frequency <= 0 or self.bandwidth_parameter <= 0:
-            raise ConfigError("pulse frequencies must be positive")
+        _store(self, carrier_angular_frequency=positive(self.carrier_angular_frequency,
+                                                        "carrier angular frequency"),
+               bandwidth_parameter=positive(self.bandwidth_parameter, "bandwidth parameter"))
 
 
 @dataclass(frozen=True)
@@ -45,11 +57,11 @@ class Platform:
     pulse_count: int       # n + 1, n even
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
-        if self.delta_s <= 0:
-            raise ConfigError("delta_s must be positive")
-        if self.pulse_count < 2 or (self.pulse_count - 1) % 2 != 0:
+        _store(self, position=vector3(self.position, "platform position"),
+               velocity=vector3(self.velocity, "platform velocity"),
+               delta_s=positive(self.delta_s, "delta_s"),
+               pulse_count=count(self.pulse_count, "pulse_count", least=3))
+        if self.pulse_count % 2 == 0:
             raise ConfigError("pulse_count must be n + 1 with n even")
 
     def position_at(self, s):
@@ -63,8 +75,9 @@ class Target:
     reflectivity: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=float))
+        _store(self, position=vector3(self.position, "target position"),
+               velocity=vector3(self.velocity, "target velocity"),
+               reflectivity=finite(self.reflectivity, "reflectivity"))
         if self.reflectivity < 0:
             raise ConfigError("reflectivity must be nonnegative")
 
@@ -83,12 +96,14 @@ class SamplingGrid:
     gate_end: float | None = None      # samples run on to a 5-smooth count (fast_times)
 
     def __post_init__(self):
-        if self.delta_t <= 0:
-            raise ConfigError("delta_t must be positive")
+        _store(self, delta_t=positive(self.delta_t, "delta_t"))
         if (self.gate_start is None) != (self.gate_end is None):
             raise ConfigError("gate_start and gate_end must be given together")
-        if self.gate_start is not None and self.gate_end <= self.gate_start:
-            raise ConfigError("gate_end must exceed gate_start")
+        if self.gate_start is not None:
+            _store(self, gate_start=finite(self.gate_start, "gate_start"),
+                   gate_end=finite(self.gate_end, "gate_end"))
+            if self.gate_end <= self.gate_start:
+                raise ConfigError("gate_end must exceed gate_start")
 
 
 @dataclass(frozen=True)
@@ -100,9 +115,8 @@ class Scenario:
     sampling: SamplingGrid = field(default_factory=lambda: SamplingGrid(1e-9))
 
     def __post_init__(self):
-        object.__setattr__(self, "reference_point",
-                           np.asarray(self.reference_point, dtype=float))
-        object.__setattr__(self, "targets", tuple(self.targets))
+        _store(self, reference_point=vector3(self.reference_point, "reference point"),
+               targets=tuple(self.targets))
 
     @property
     def n(self) -> int:
@@ -128,64 +142,29 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _vector(doc: dict, key: str) -> np.ndarray:
-    v = np.asarray(_require(doc, key), dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise ConfigError(f"'{key}' must be 3 finite numbers")
-    return v
-
-
-def _finite(value) -> float | None:
-    """value as a finite float; None, an unset optional field, stays None."""
-    if value is None:
-        return None
-    x = float(value)
-    if not np.isfinite(x):
-        raise ConfigError(f"scenario JSON has a non-finite number: {value}")
-    return x
+def _hz(doc: dict, key: str) -> float:
+    """The frequency field `key` in Hz as an angular frequency; it is checked as a
+    finite number before it is scaled, so `true` does not become 2 pi."""
+    return 2 * np.pi * finite(_require(doc, key), key)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scene a scenario JSON document describes; each type checks its own values."""
     try:
-        p = _require(doc, "pulse")
-        pulse = Pulse(
-            carrier_angular_frequency=2 * np.pi * _finite(_require(p, "carrier_frequency_hz")),
-            bandwidth_parameter=2 * np.pi * _finite(_require(p, "bandwidth_frequency_hz")),
+        p, pl, sg = (_require(doc, key) for key in ("pulse", "platform", "sampling"))
+        return Scenario(
+            pulse=Pulse(_hz(p, "carrier_frequency_hz"), _hz(p, "bandwidth_frequency_hz")),
+            platform=Platform(*(_require(pl, key) for key in (
+                "position_m", "velocity_mps", "delta_s_seconds", "pulse_count"))),
+            reference_point=_require(doc, "reference_point_m"),
+            targets=tuple(Target(_require(t, "position_m"), _require(t, "velocity_mps"),
+                                 t.get("reflectivity", 1.0))
+                          for t in doc.get("targets", [])),
+            sampling=SamplingGrid(_require(sg, "delta_t_seconds"),
+                                  sg.get("gate_start_seconds"), sg.get("gate_end_seconds")),
         )
-        pl = _require(doc, "platform")
-        pulse_count = _require(pl, "pulse_count")
-        if isinstance(pulse_count, bool) or not isinstance(pulse_count, int):
-            raise ConfigError("pulse_count must be an integer")
-        platform = Platform(
-            position=_vector(pl, "position_m"),
-            velocity=_vector(pl, "velocity_mps"),
-            delta_s=_finite(_require(pl, "delta_s_seconds")),
-            pulse_count=pulse_count,
-        )
-        sg = _require(doc, "sampling")
-        sampling = SamplingGrid(
-            delta_t=_finite(_require(sg, "delta_t_seconds")),
-            gate_start=_finite(sg.get("gate_start_seconds")),
-            gate_end=_finite(sg.get("gate_end_seconds")),
-        )
-        targets = tuple(
-            Target(
-                position=_vector(t, "position_m"),
-                velocity=_vector(t, "velocity_mps"),
-                reflectivity=_finite(t.get("reflectivity", 1.0)),
-            )
-            for t in doc.get("targets", [])
-        )
-        reference_point = _vector(doc, "reference_point_m")
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a section that is not an object, or targets not a list
         raise ConfigError(f"malformed scenario JSON: {exc}") from exc
-    return Scenario(
-        pulse=pulse,
-        platform=platform,
-        reference_point=reference_point,
-        targets=targets,
-        sampling=sampling,
-    )
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from sarlrs.analysis import (empirical_eta_bounds, gaussian_decay_fit, l1_norm,
-                             analytic_l1, nuclear_velocity_exponent,
-                             separation_metrics, spectrum)
+                             nuclear_velocity_exponent, separation_metrics, spectrum)
 from sarlrs.baseband import from_baseband, to_baseband
-from sarlrs.eta import (ApertureParams, conventional_eta, eta_bounds_baseband,
+from sarlrs.eta import (ApertureParams, analytic_l1, conventional_eta, eta_bounds_baseband,
                         eta_bounds_original)
 from sarlrs.imaging import ImagingGrid, migrate, peak_report, value_at
 from sarlrs.rpca import RpcaConfig, decompose, decompose_windowed

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import sarlrs
-from sarlrs.analysis import (NarrowbandViolated, _grid_norms, analytic_l1,
-                             empirical_eta_bounds, gaussian_decay_fit, l1_norm,
+from sarlrs.analysis import (_grid_norms, empirical_eta_bounds, gaussian_decay_fit, l1_norm,
                              nuclear_velocity_exponent,
                              separation_metrics, solve_grid_metrics, spectrum)
 from sarlrs.baseband import from_solve_grid, solve_grid_scale, to_solve_grid
 from sarlrs.errors import ConfigError, InsufficientSweep
-from sarlrs.eta import ApertureParams, conventional_eta, eta_bounds_baseband, model_spectrum
+from sarlrs.eta import (ApertureParams, NarrowbandViolated, analytic_l1, conventional_eta,
+                        eta_bounds_baseband, model_spectrum)
 from sarlrs.rpca import RpcaConfig, decompose
 from sarlrs.scenario import Scenario, Target, load_scenario
 from sarlrs.simulate import fast_times, synthesize_baseband_direct, synthesize_downramped
@@ -129,6 +129,28 @@ def test_no_module_uses_another_modules_private_names():
     # is reached through a public function, so the owner can change how
     src = Path(sarlrs.__file__).parent
     uses = {f.name: sorted(_foreign_private_names(f)) for f in src.glob("*.py")}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def _number_type_tests(path):
+    """Every isinstance call in a source file that tests for bool, numbers.Real or
+    numbers.Integral."""
+    rule_types = {"bool", "numbers.Real", "numbers.Integral", "Real", "Integral"}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            types = node.args[1]
+            types = types.elts if isinstance(types, ast.Tuple) else [types]
+            if rule_types & {ast.unparse(t) for t in types}:
+                yield ast.unparse(node)
+
+
+def test_only_errors_decides_what_a_number_count_or_vector_is():
+    # errors holds one rule each for a finite number, a count and a 3-vector, and
+    # every other module calls them, so two modules cannot disagree on a value
+    src = Path(sarlrs.__file__).parent
+    uses = {f.name: sorted(_number_type_tests(f)) for f in src.glob("*.py")
+            if f.name != "errors.py"}
     assert {name: found for name, found in uses.items() if found} == {}
 
 

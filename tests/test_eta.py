@@ -140,8 +140,9 @@ def test_conventional_eta_values():
 
 
 def test_conventional_eta_rejects_bad_dims():
-    with pytest.raises(ConfigError):
-        conventional_eta(0, 5)
+    for dims in [(0, 5), (2.5, 4), (True, 4), (4, -1), (4, "5")]:
+        with pytest.raises(ConfigError):
+            conventional_eta(*dims)
 
 
 def test_bounds_admissible_for_demo_speed():

@@ -153,14 +153,17 @@ def test_delay_on_a_gate_edge_takes_that_sample(edge):
 
 @pytest.mark.parametrize("change", [
     dict(extent_x=np.nan), dict(extent_y=np.inf), dict(extent_x=0.0), dict(extent_y=-1.0),
-    dict(center=[np.nan, 0.0, 0.0]), dict(center=[0.0, np.inf, 0.0]), dict(nx=1)])
+    dict(center=[np.nan, 0.0, 0.0]), dict(center=[0.0, np.inf, 0.0]), dict(nx=1),
+    dict(nx=2.5), dict(ny=True), dict(extent_x=True), dict(extent_y="5"),
+    dict(center=[0.0, 0.0]), dict(center=[0.0] * 4), dict(center=[True, 0.0, 0.0])])
 def test_bad_grid_rejected(change):
     args = dict(center=[0.0, 0.0, 0.0], extent_x=5.0, extent_y=5.0, nx=5, ny=5)
     with pytest.raises(ConfigError):
         ImagingGrid(**{**args, **change})
 
 
-@pytest.mark.parametrize("velocity", [[np.nan, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+@pytest.mark.parametrize("velocity", [[np.nan, 0.0, 0.0], [0.0, 0.0, -np.inf],
+                                      [1.0, 0.0], [1.0, 0.0, 0.0, 1.0], [True, 0.0, 0.0]])
 def test_non_finite_velocity_rejected(velocity):
     sc = make_scenario([stationary_target()], **FAST)
     with pytest.raises(ConfigError):

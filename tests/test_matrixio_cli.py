@@ -200,10 +200,22 @@ def test_cli_malformed_json_is_config_error(tmp_path):
     (("sampling",), {"gate_start_seconds": -1e-6}),
     (("sampling",), {"gate_start_seconds": 1e-6, "gate_end_seconds": -1e-6}),
     ((), {"pulse": {"carrier_frequency_hz": 2e8}}),
+    (("targets", 0), {"reflectivity": True}),
+    (("sampling",), {"delta_t_seconds": True}),
+    (("targets", 0), {"position_m": [True, 0, 0]}),
+    (("pulse",), {"carrier_frequency_hz": "2e8"}),
+    (("platform",), {"pulse_count": True}),
+    (("platform",), {"velocity_mps": [0.0, 10.0, 0.0, 0.0]}),
+    (("sampling",), {"gate_start_seconds": float("-inf"), "gate_end_seconds": 1e-6}),
+    (("pulse",), {"bandwidth_frequency_hz": float("inf")}),
+    (("platform",), {"delta_s_seconds": 10**400}),
+    ((), {"reference_point_m": ["1", 0, 0]}),
 ], ids=["reference-not-numeric", "reference-2-vector", "target-2-vector", "gate-strings",
         "pulse-count-fractional", "delta-t-nan", "bandwidth-zero", "delta-s-negative",
         "pulse-count-even", "reflectivity-negative", "delta-t-zero", "gate-start-alone",
-        "gate-end-before-start", "bandwidth-missing"])
+        "gate-end-before-start", "bandwidth-missing", "reflectivity-true", "delta-t-true",
+        "target-position-bool", "carrier-quoted", "pulse-count-true", "platform-4-vector",
+        "gate-start-minus-inf", "bandwidth-inf", "delta-s-beyond-float", "reference-quoted"])
 def test_cli_malformed_scenario_is_config_error(tmp_path, capsys, where, update):
     doc = json.loads(_scaled_config(tmp_path).read_text())
     section = doc

@@ -639,6 +639,25 @@ def test_windowed_bad_window_count(windows):
         decompose_windowed(np.ones((4, 4)), windows, RpcaConfig(eta=0.5))
 
 
+_NOT_2D = {
+    "decompose": lambda M: decompose(M, RpcaConfig(eta=0.5)),
+    "windowed": lambda M: decompose_windowed(M, 1, RpcaConfig(eta=0.5)),
+    "svt": lambda M: singular_value_threshold(M, 0.1),
+    "singular-values": singular_values,
+    "spectral-norm": spectral_norm,
+}
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (2, 3, 4)], ids=["0d", "1d", "3d"])
+@pytest.mark.parametrize("name", sorted(_NOT_2D))
+def test_a_matrix_that_is_not_2d_is_config_error(name, shape):
+    # a 1-D input raised IndexError where the short side was taken, and a 3-D
+    # decompose numpy's "too many values to unpack"
+    M = np.random.default_rng(0).standard_normal(shape)
+    with pytest.raises(ConfigError):
+        _NOT_2D[name](M)
+
+
 _WIDE = low_rank_plus_sparse(30, 3001, 3, True, 0.05, seed=20)
 CHUNKED_INPUTS = {
     "wide-complex": _WIDE,                     # 90030 entries: not a multiple of CHUNK
