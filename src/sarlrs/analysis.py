@@ -52,7 +52,7 @@ class SpectrumReport:
 
 def spectrum(M) -> SpectrumReport:
     """Singular values of M with the norms they give; raises SvdFailure."""
-    sig = singular_values(np.asarray(M))
+    sig = singular_values(M)
     n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig[0]))
     return SpectrumReport(
         singular_values=sig,

@@ -53,7 +53,7 @@ import os
 
 import numpy as np
 
-from .errors import CarrierAliased, ConfigError, PhysicsError
+from .errors import CarrierAliased, ConfigError, PhysicsError, matrix
 from .scenario import Pulse
 
 # Passband half-width in units of B.  The Gaussian envelope's spectrum is
@@ -119,10 +119,11 @@ def solve_grid_scale(m: int, pulse: Pulse, delta_t: float) -> float:
 
 def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
     """The real D's m-point DFT values (norm="forward") on `passband_bins`, with gain
-    PASSBAND_GAIN, and those bins: the passband both grids are built from."""
-    D = np.asarray(D)
-    if D.ndim != 2 or D.shape[1] < 8:
-        raise ConfigError("matrix must be 2-D with at least 8 columns")
+    PASSBAND_GAIN, and those bins: the passband both grids are built from.  D must
+    be a real matrix (`errors.matrix`) with at least 8 columns, else `ConfigError`."""
+    D = matrix(D, "D")
+    if np.iscomplexobj(D) or D.shape[1] < 8:
+        raise ConfigError(f"D must be real with at least 8 columns, got {D.dtype} {D.shape}")
     w0 = pulse.carrier_angular_frequency
     if w0 * delta_t >= np.pi:
         raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
@@ -164,13 +165,14 @@ def from_solve_grid(M: np.ndarray, pulse: Pulse, delta_t: float, m: int, t0: flo
     """K-sample rows back onto the gate's m samples, mixed up with t0 as `to_baseband` is.
 
     `from_solve_grid(to_solve_grid(D), ..., m, t0)` is `to_baseband(D, ..., t0)`
-    to rounding, not D: the grid holds only the band.  M must be 2-D with K
-    columns, K the size of `passband_bins(m, ...)`, else `ConfigError`.
+    to rounding, not D: the grid holds only the band.  M must be a matrix
+    (`errors.matrix`) with K columns, K the size of `passband_bins(m, ...)`,
+    else `ConfigError`.
     """
     bins = passband_bins(m, pulse, delta_t)
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[1] != bins.size:
-        raise ConfigError(f"solve grid must be 2-D with {bins.size} columns, got shape {M.shape}")
+    M = matrix(M, "M")
+    if M.shape[1] != bins.size:
+        raise ConfigError(f"M must have {bins.size} columns, got shape {M.shape}")
     band = np.roll(np.fft.fft(M, axis=1, norm="forward"), -bins[0], axis=1)
     return _to_gate(band, bins, m, pulse, delta_t, t0)
 
@@ -226,8 +228,6 @@ def _mixer(m: int, w: float, delta_t: float, t0: float) -> np.ndarray:
 
 
 def from_baseband(DB: np.ndarray, pulse: Pulse, delta_t: float, t0: float = 0.0) -> np.ndarray:
-    """Reconstruct the real down-ramped matrix: Re{exp(-1j w0 t) D_B}.  DB must be 2-D."""
-    DB = np.asarray(DB)
-    if DB.ndim != 2:
-        raise ConfigError("matrix must be 2-D")
+    """Reconstruct the real down-ramped matrix: Re{exp(-1j w0 t) D_B}.  DB must be a matrix."""
+    DB = matrix(DB, "DB")
     return np.real(DB * _mixer(DB.shape[1], -pulse.carrier_angular_frequency, delta_t, t0))

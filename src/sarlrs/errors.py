@@ -5,15 +5,20 @@ Exit-code mapping used by the CLI:
   PhysicsError subtypes  -> 2
   NumericalError subtypes-> 3
 
-Every module checks a number, a count or a 3-vector with one of the rules
-below, and each raises `ConfigError` naming the value:
+Every module checks a number, a count, a 3-vector or a matrix with one of
+the five rules below, and each raises `ConfigError` naming the value:
   finite    a `numbers.Real` that is not a bool, NaN or +-inf, returned as a float;
   positive  a finite number > 0, returned as a float;
   count     a `numbers.Integral` that is not a bool and is >= a lower bound
             (1 unless given), returned as an int;
-  vector3   three finite numbers, returned as a float array.
+  vector3   three finite numbers, returned as a float array;
+  matrix    a 2-D array of integers, floats or complex numbers, returned as
+            a numpy array without a copy (an ndarray is returned as itself).
 A bool counts nothing and weighs nothing, so no rule takes one, and no rule
-converts text: a quoted "2e8" is not a number.
+converts text: a quoted "2e8" is not a number.  `matrix` reads only the shape
+and the dtype, never the entries, so it costs the same for any size and
+leaves non-finite entries to the caller.  A frozen dataclass stores what its
+rules return with `store`.
 """
 
 from __future__ import annotations
@@ -105,3 +110,21 @@ def vector3(value, name: str) -> np.ndarray:
     if None in items:
         raise ConfigError(f"{name} must be 3 finite numbers, got {value!r}")
     return np.array(items)
+
+
+def matrix(value, name: str) -> np.ndarray:
+    """value as a 2-D numpy array of integers, floats or complex numbers, not copied.
+
+    The dtype's kind must be i, u, f or c, so bool (b), object (O) and text
+    (U, S) matrices are rejected.
+    """
+    M = np.asarray(value)
+    if M.ndim != 2 or M.dtype.kind not in "iufc":
+        raise ConfigError(f"{name} must be a 2-D matrix of numbers, got {M.ndim}-D {M.dtype}")
+    return M
+
+
+def store(obj, **values) -> None:
+    """Set a frozen dataclass's fields to the values its rules returned."""
+    for field, value in values.items():
+        object.__setattr__(obj, field, value)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, count, positive, vector3
+from .errors import ConfigError, count, matrix, positive, store, vector3
 from .scenario import Scenario
 from .simulate import fast_times, grid_delays
 
@@ -35,11 +35,10 @@ class ImagingGrid:
     ny: int
 
     def __post_init__(self):
-        object.__setattr__(self, "center", vector3(self.center, "grid center"))
-        positive(self.extent_x, "grid extent_x")
-        positive(self.extent_y, "grid extent_y")
-        count(self.nx, "grid nx", least=2)
-        count(self.ny, "grid ny", least=2)
+        store(self, center=vector3(self.center, "grid center"),
+              extent_x=positive(self.extent_x, "grid extent_x"),
+              extent_y=positive(self.extent_y, "grid extent_y"),
+              nx=count(self.nx, "grid nx", least=2), ny=count(self.ny, "grid ny", least=2))
 
     def xs(self) -> np.ndarray:
         return self.center[0] + np.linspace(-self.extent_x, self.extent_x, self.nx)
@@ -75,10 +74,10 @@ def migrate(data: np.ndarray, scenario: Scenario, grid: ImagingGrid,
     hypothesis_velocity advects every pixel with slow time before the delay
     evaluation; zero gives standard (stationary-scene) migration.
     """
-    data = np.asarray(data)
+    data = matrix(data, "data")
     t = fast_times(scenario)
-    if data.ndim != 2 or data.shape != (scenario.platform.pulse_count, t.size):
-        raise ConfigError("matrix shape does not match the scenario's sampling grid")
+    if data.shape != (scenario.platform.pulse_count, t.size):
+        raise ConfigError("data's shape does not match the scenario's sampling grid")
     s = scenario.slow_times()
     v = vector3(hypothesis_velocity, "hypothesis velocity")
     xs, ys, z = grid.xs(), grid.ys(), grid.z()

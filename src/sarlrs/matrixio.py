@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, matrix
 
 MAGIC = b"SARM"
 VERSION = 1
@@ -30,9 +30,7 @@ _DTYPES = {KIND_REAL: np.dtype("<f8"), KIND_COMPLEX: np.dtype("<c16")}
 
 
 def write_matrix(path, M: np.ndarray, metadata: dict | None = None) -> None:
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ConfigError("only 2-D matrices are supported")
+    M = matrix(M, "M")
     kind = KIND_COMPLEX if np.iscomplexobj(M) else KIND_REAL
     # written from the array's own buffer: no bytes copy of the payload
     payload = np.ascontiguousarray(M, dtype=_DTYPES[kind])

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, SvdFailure, count, finite, positive
+from .errors import ConfigError, SvdFailure, count, finite, matrix, positive, store
 
 MU0_FACTOR = 1.2             # initial penalty mu_0 = MU0_FACTOR / ||D||_2
 RHO = 1.4                    # penalty growth factor per iteration
@@ -99,9 +99,8 @@ class RpcaConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        positive(self.eta, "eta")
-        positive(self.tol, "tol")
-        count(self.max_iter, "max_iter")
+        store(self, eta=positive(self.eta, "eta"), tol=positive(self.tol, "tol"),
+              max_iter=count(self.max_iter, "max_iter"))
 
 
 @dataclass
@@ -160,13 +159,7 @@ def soft_threshold(a, eta: float, out=None):
 
 
 def _short_side(M: np.ndarray) -> tuple[np.ndarray, bool]:
-    """M, or its view M^T (same singular values) when M is tall, and whether it was flipped.
-
-    Every spectrum and SVT takes its short side here, so this is where a
-    matrix that is not 2-D is rejected.
-    """
-    if M.ndim != 2:
-        raise ConfigError(f"matrix must be 2-D, got shape {M.shape}")
+    """M, or its view M^T (same singular values) when M is tall, and whether it was flipped."""
     tall = M.shape[0] > M.shape[1]
     return (M.T if tall else M), tall
 
@@ -244,6 +237,7 @@ def singular_value_threshold(M: np.ndarray, tau: float, out=None):
     given, as for a numpy ufunc, and to a new C-ordered array otherwise.
     Returns (L, s), s = sigma_k - tau for the kept k, descending.
     """
+    M = matrix(M, "M")
     A, _ = _short_side(M)
     G = _gram(A)
     if tau < GRAM_MIN_TAU * np.sqrt(np.trace(G).real):
@@ -276,12 +270,12 @@ def _threshold_product(M: np.ndarray, sig: np.ndarray, U: np.ndarray, tau: float
 
 def singular_values(M: np.ndarray) -> np.ndarray:
     """All singular values of M, descending, as accurate as a full SVD."""
-    return _r_factor_svd(_short_side(M)[0], compute_uv=False)
+    return _r_factor_svd(_short_side(matrix(M, "M"))[0], compute_uv=False)
 
 
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value, from the top eigenvalue of the short-side Gram matrix."""
-    A, _ = _short_side(M)
+    A, _ = _short_side(matrix(M, "M"))
     return float(_gram_spectrum(_gram(A))[0][-1])
 
 
@@ -310,12 +304,11 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
     own precision: integers, float32 and complex64 are solved in double
     precision, since the default tol 1e-7 lies below float32's resolution.
     """
-    D = np.asarray(D)
+    D = matrix(D, "D")
     D = np.ascontiguousarray(D, _solve_dtype(D))
     norm_f = np.linalg.norm(D)  # nan or inf when any entry is
     if not 0 < norm_f < math.inf:
         raise ConfigError("input matrix is zero or has non-finite entries")
-    eta = float(config.eta)  # a numpy float32 eta would round eta / mu to 32 bits
     T = np.empty_like(D)               # the SVT input, then the dense S
     L = np.empty_like(D)               # SVT's output
     v_buf = np.empty(CHUNK, D.dtype)   # V = W - L, then V - S
@@ -330,7 +323,7 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
 
     # dual ascent seed Y_0 = D / c, c = max(||D||_2, ||D||_inf / eta), and S_0 = 0,
     # so the first SVT input is T_1 = Y_0/mu_0 + D = s D, whose spectrum is D's times s
-    scale = 1.0 + 1.0 / (max(norm2, d_max / eta) * mu)
+    scale = 1.0 + 1.0 / (max(norm2, d_max / config.eta) * mu)
     np.multiply(D, scale, out=T)
     spectrum = scale * spectrum[0], spectrum[1]
     # S as its kept entries: per chunk, their offsets in it and their values
@@ -358,7 +351,7 @@ def decompose(D: np.ndarray, config: RpcaConfig) -> Decomposition:
             # V = W - L = T + S_old - L, W = Y/mu + D
             np.subtract(t, l, out=vc)
             vc[k.astype(np.intp)] += v
-            k, v = _kept(vc, eta / mu, ac)                 # S = soft_threshold(V, eta/mu)
+            k, v = _kept(vc, config.eta / mu, ac)          # S = soft_threshold(V, eta/mu)
             kept[i] = k.astype(offset), v
             nnz += np.count_nonzero(v)
             np.subtract(d, l, out=rc)                      # R = D - L - S
@@ -397,8 +390,7 @@ def decompose_windowed(D: np.ndarray, windows: int, config: RpcaConfig) -> Decom
     `decompose`'s own split, its trace entries tagged with window 0.  An
     all-zero block is not solved: its L and S are zero.
     """
-    D = np.asarray(D)
-    _short_side(D)  # ConfigError unless D is 2-D
+    D = matrix(D, "D")
     if count(windows, "windows") > D.shape[0]:
         raise ConfigError("windows must be an integer in [1, row count]")
     if windows == 1 and np.any(D):

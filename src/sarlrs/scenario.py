@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, count, finite, positive, vector3
+from .errors import ConfigError, count, finite, positive, store, vector3
 
 C_LIGHT = 299_792_458.0
 
@@ -32,21 +32,15 @@ def advect(position, velocity, s):
     return position + velocity * s[..., None]
 
 
-def _store(obj, **values) -> None:
-    """Set a frozen dataclass's fields to the values its checks returned."""
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-
-
 @dataclass(frozen=True)
 class Pulse:
     carrier_angular_frequency: float  # omega_0 [rad/s]
     bandwidth_parameter: float        # B [rad/s], pulse envelope exp(-B^2 t^2 / 2)
 
     def __post_init__(self):
-        _store(self, carrier_angular_frequency=positive(self.carrier_angular_frequency,
-                                                        "carrier angular frequency"),
-               bandwidth_parameter=positive(self.bandwidth_parameter, "bandwidth parameter"))
+        store(self, carrier_angular_frequency=positive(self.carrier_angular_frequency,
+                                                       "carrier angular frequency"),
+              bandwidth_parameter=positive(self.bandwidth_parameter, "bandwidth parameter"))
 
 
 @dataclass(frozen=True)
@@ -57,10 +51,10 @@ class Platform:
     pulse_count: int       # n + 1, n even
 
     def __post_init__(self):
-        _store(self, position=vector3(self.position, "platform position"),
-               velocity=vector3(self.velocity, "platform velocity"),
-               delta_s=positive(self.delta_s, "delta_s"),
-               pulse_count=count(self.pulse_count, "pulse_count", least=3))
+        store(self, position=vector3(self.position, "platform position"),
+              velocity=vector3(self.velocity, "platform velocity"),
+              delta_s=positive(self.delta_s, "delta_s"),
+              pulse_count=count(self.pulse_count, "pulse_count", least=3))
         if self.pulse_count % 2 == 0:
             raise ConfigError("pulse_count must be n + 1 with n even")
 
@@ -75,9 +69,9 @@ class Target:
     reflectivity: float = 1.0
 
     def __post_init__(self):
-        _store(self, position=vector3(self.position, "target position"),
-               velocity=vector3(self.velocity, "target velocity"),
-               reflectivity=finite(self.reflectivity, "reflectivity"))
+        store(self, position=vector3(self.position, "target position"),
+              velocity=vector3(self.velocity, "target velocity"),
+              reflectivity=finite(self.reflectivity, "reflectivity"))
         if self.reflectivity < 0:
             raise ConfigError("reflectivity must be nonnegative")
 
@@ -96,12 +90,12 @@ class SamplingGrid:
     gate_end: float | None = None      # samples run on to a 5-smooth count (fast_times)
 
     def __post_init__(self):
-        _store(self, delta_t=positive(self.delta_t, "delta_t"))
+        store(self, delta_t=positive(self.delta_t, "delta_t"))
         if (self.gate_start is None) != (self.gate_end is None):
             raise ConfigError("gate_start and gate_end must be given together")
         if self.gate_start is not None:
-            _store(self, gate_start=finite(self.gate_start, "gate_start"),
-                   gate_end=finite(self.gate_end, "gate_end"))
+            store(self, gate_start=finite(self.gate_start, "gate_start"),
+                  gate_end=finite(self.gate_end, "gate_end"))
             if self.gate_end <= self.gate_start:
                 raise ConfigError("gate_end must exceed gate_start")
 
@@ -115,7 +109,7 @@ class Scenario:
     sampling: SamplingGrid = field(default_factory=lambda: SamplingGrid(1e-9))
 
     def __post_init__(self):
-        _store(self, reference_point=vector3(self.reference_point, "reference point"),
+        store(self, reference_point=vector3(self.reference_point, "reference point"),
                targets=tuple(self.targets))
 
     @property
@@ -148,23 +142,40 @@ def _hz(doc: dict, key: str) -> float:
     return 2 * np.pi * finite(_require(doc, key), key)
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    """The scene a scenario JSON document describes; each type checks its own values."""
+def _section(where: str, value, build):
+    """build(value) for the JSON object `value`; a `ConfigError` it raises names `where`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
     try:
-        p, pl, sg = (_require(doc, key) for key in ("pulse", "platform", "sampling"))
-        return Scenario(
-            pulse=Pulse(_hz(p, "carrier_frequency_hz"), _hz(p, "bandwidth_frequency_hz")),
-            platform=Platform(*(_require(pl, key) for key in (
-                "position_m", "velocity_mps", "delta_s_seconds", "pulse_count"))),
-            reference_point=_require(doc, "reference_point_m"),
-            targets=tuple(Target(_require(t, "position_m"), _require(t, "velocity_mps"),
-                                 t.get("reflectivity", 1.0))
-                          for t in doc.get("targets", [])),
-            sampling=SamplingGrid(_require(sg, "delta_t_seconds"),
-                                  sg.get("gate_start_seconds"), sg.get("gate_end_seconds")),
-        )
-    except TypeError as exc:  # a section that is not an object, or targets not a list
-        raise ConfigError(f"malformed scenario JSON: {exc}") from exc
+        return build(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def scenario_from_dict(doc: dict) -> Scenario:
+    """The scene a scenario JSON document describes; each type checks its own values.
+
+    An error in a section names it: `pulse`, `platform`, `sampling` or `targets[i]`.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scenario JSON must be an object, got {type(doc).__name__}")
+    targets = doc.get("targets", [])
+    if not isinstance(targets, list):
+        raise ConfigError(f"targets must be a JSON list, got {type(targets).__name__}")
+    return Scenario(
+        pulse=_section("pulse", _require(doc, "pulse"), lambda p: Pulse(
+            _hz(p, "carrier_frequency_hz"), _hz(p, "bandwidth_frequency_hz"))),
+        platform=_section("platform", _require(doc, "platform"), lambda p: Platform(*(
+            _require(p, key) for key in (
+                "position_m", "velocity_mps", "delta_s_seconds", "pulse_count")))),
+        reference_point=_require(doc, "reference_point_m"),
+        targets=tuple(_section(f"targets[{i}]", t, lambda t: Target(
+            _require(t, "position_m"), _require(t, "velocity_mps"), t.get("reflectivity", 1.0)))
+            for i, t in enumerate(targets)),
+        sampling=_section("sampling", _require(doc, "sampling"), lambda s: SamplingGrid(
+            _require(s, "delta_t_seconds"), s.get("gate_start_seconds"),
+            s.get("gate_end_seconds"))),
+    )
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

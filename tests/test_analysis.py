@@ -154,6 +154,16 @@ def test_only_errors_decides_what_a_number_count_or_vector_is():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+def test_only_errors_decides_what_a_matrix_is():
+    # errors.matrix is the one 2-D test: rpca, baseband, imaging and matrixio each
+    # had their own, with four messages, and some public functions had none
+    src = Path(sarlrs.__file__).parent
+    uses = {f.name: sorted(ast.unparse(node) for node in ast.walk(ast.parse(f.read_text()))
+                           if isinstance(node, ast.Compare) and "ndim" in ast.unparse(node))
+            for f in src.glob("*.py") if f.name != "errors.py"}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
 def _imports(path):
     """Every module a source file imports, a relative import as sarlrs.<name>."""
     for node in ast.walk(ast.parse(path.read_text())):

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sarlrs.cli import main
 from sarlrs.errors import ConfigError, DegenerateGeometry
 from sarlrs.eta import (ApertureParams, analytic_column_support,
                         conventional_eta, eta_bounds_baseband,
                         eta_bounds_original)
+from sarlrs.scenario import save_scenario
 from sarlrs.simulate import column_support
 
 from conftest import make_scenario, moving_target
@@ -126,11 +129,21 @@ def test_original_bounds_scaled_by_pi_over_two():
     assert orig.dynamic_range == pytest.approx(bb.dynamic_range, rel=1e-14)
 
 
-def test_bounds_have_no_reflectivity_dependence():
-    import inspect
-    from sarlrs import eta as eta_module
-    source = inspect.getsource(eta_module)
-    assert "reflectivity" not in source  # formulas are normalization-free
+def test_bounds_have_no_reflectivity_dependence(tmp_path, scaled_scenario):
+    # the formulas are normalization-free: two scenes that differ only in every
+    # target's reflectivity get the same eta_report.json, which holds
+    # eta_bounds_baseband, eta_bounds_original and conventional_eta
+    brighter = scaled_scenario.with_targets(replace(t, reflectivity=3 * t.reflectivity + 0.5)
+                                            for t in scaled_scenario.targets)
+    reports = []
+    for name, sc in (("scaled", scaled_scenario), ("brighter", brighter)):
+        save_scenario(sc, tmp_path / f"{name}.json")
+        assert main(["eta", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "eta_report.json").read_text())
+    assert all(a.reflectivity != b.reflectivity
+               for a, b in zip(scaled_scenario.targets, brighter.targets))
+    assert reports[0] == reports[1]
 
 
 def test_conventional_eta_values():

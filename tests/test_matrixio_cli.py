@@ -210,24 +210,38 @@ def test_cli_malformed_json_is_config_error(tmp_path):
     (("pulse",), {"bandwidth_frequency_hz": float("inf")}),
     (("platform",), {"delta_s_seconds": 10**400}),
     ((), {"reference_point_m": ["1", 0, 0]}),
+    ((), {"pulse": [2e8, 1e7]}),
+    ((), {"sampling": None}),
+    ((), {"targets": {"position_m": [0.0, 0.0, 0.0], "velocity_mps": [0.0, 0.0, 0.0]}}),
+    (("targets",), {2: 5}),
+    (("targets", 2), {"velocity_mps": [0.0, 0.0]}),
 ], ids=["reference-not-numeric", "reference-2-vector", "target-2-vector", "gate-strings",
         "pulse-count-fractional", "delta-t-nan", "bandwidth-zero", "delta-s-negative",
         "pulse-count-even", "reflectivity-negative", "delta-t-zero", "gate-start-alone",
         "gate-end-before-start", "bandwidth-missing", "reflectivity-true", "delta-t-true",
         "target-position-bool", "carrier-quoted", "pulse-count-true", "platform-4-vector",
-        "gate-start-minus-inf", "bandwidth-inf", "delta-s-beyond-float", "reference-quoted"])
+        "gate-start-minus-inf", "bandwidth-inf", "delta-s-beyond-float", "reference-quoted",
+        "pulse-not-object", "sampling-null", "targets-not-list", "target-not-object",
+        "third-target-2-vector"])
 def test_cli_malformed_scenario_is_config_error(tmp_path, capsys, where, update):
     doc = json.loads(_scaled_config(tmp_path).read_text())
     section = doc
     for key in where:
         section = section[key]
-    section.update(update)
+    for key, value in update.items():
+        section[key] = value
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert not out.exists()
+    # an error in a section names it, and a target by its index
+    path = where + tuple(update)[:1]
+    if path[0] in ("pulse", "platform", "sampling", "targets"):
+        named = f"targets[{path[1]}]" if path[0] == "targets" and len(path) > 1 else path[0]
+        assert err.startswith(f"error: {named}")
 
 
 def test_cli_gate_too_narrow_exit_code(tmp_path):

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from sarlrs import rpca
-from sarlrs.errors import ConfigError, SvdFailure
+from sarlrs.analysis import spectrum
+from sarlrs.baseband import (from_baseband, from_solve_grid, passband_bins, to_baseband,
+                             to_solve_grid)
+from sarlrs.errors import ConfigError, SvdFailure, matrix
 from sarlrs.eta import conventional_eta
+from sarlrs.imaging import ImagingGrid, migrate
+from sarlrs.matrixio import write_matrix
 from sarlrs.rpca import (MU_CAP_FACTOR, RHO, Decomposition, RpcaConfig,
                          decompose, decompose_windowed, singular_value_threshold,
                          singular_values, soft_threshold, spectral_norm)
+from sarlrs.simulate import fast_times
+
+from conftest import make_scenario, stationary_target
 
 
 def svd_threshold_reference(M, tau):
@@ -633,29 +641,79 @@ def test_settings_must_be_finite_and_positive(setting):
         RpcaConfig(**{"eta": 0.1, **setting})
 
 
-@pytest.mark.parametrize("windows", [0, 2.0, True])
+@pytest.mark.parametrize("windows", [0, 2.0, True, 5])
 def test_windowed_bad_window_count(windows):
     with pytest.raises(ConfigError):
         decompose_windowed(np.ones((4, 4)), windows, RpcaConfig(eta=0.5))
 
 
-_NOT_2D = {
-    "decompose": lambda M: decompose(M, RpcaConfig(eta=0.5)),
-    "windowed": lambda M: decompose_windowed(M, 1, RpcaConfig(eta=0.5)),
-    "svt": lambda M: singular_value_threshold(M, 0.1),
-    "singular-values": singular_values,
-    "spectral-norm": spectral_norm,
+def _written(path, M):
+    write_matrix(path, M)
+    return np.frombuffer(path.read_bytes(), np.uint8)
+
+
+_SCENE = make_scenario([stationary_target()], n=2)
+_T = fast_times(_SCENE)
+_BAND = (_SCENE.pulse, _SCENE.sampling.delta_t)
+_K = passband_bins(_T.size, *_BAND).size
+# every public function that takes a matrix: its argument's name, the shape of
+# a valid input, and the call, given a directory, returning what it computed
+MATRIX_TAKERS = {
+    "decompose": ("D", (4, 6), lambda M, tmp: decompose(M, RpcaConfig(eta=0.5)).L),
+    "windowed": ("D", (4, 6), lambda M, tmp: decompose_windowed(M, 1, RpcaConfig(eta=0.5)).L),
+    "svt": ("M", (4, 6), lambda M, tmp: singular_value_threshold(M, 0.1)[0]),
+    "singular-values": ("M", (4, 6), lambda M, tmp: singular_values(M)),
+    "spectral-norm": ("M", (4, 6), lambda M, tmp: spectral_norm(M)),
+    "spectrum": ("M", (4, 6), lambda M, tmp: spectrum(M).singular_values),
+    "to-baseband": ("D", (3, _T.size), lambda M, tmp: to_baseband(M, *_BAND)),
+    "to-solve-grid": ("D", (3, _T.size), lambda M, tmp: to_solve_grid(M, *_BAND)),
+    "from-solve-grid": ("M", (3, _K), lambda M, tmp: from_solve_grid(M, *_BAND, _T.size, _T[0])),
+    "from-baseband": ("DB", (3, _T.size), lambda M, tmp: from_baseband(M, *_BAND)),
+    "migrate": ("data", (3, _T.size), lambda M, tmp: migrate(
+        M, _SCENE, ImagingGrid([0.0, 0.0, 0.0], 5.0, 5.0, 2, 2)).values),
+    "write-matrix": ("M", (4, 6), lambda M, tmp: _written(tmp / "M.sarm", M)),
+}
+# each made from a valid input
+NOT_A_MATRIX = {
+    "0d": lambda M: M[0, 0], "1d": lambda M: M[0], "3d": lambda M: M[None],
+    "bool": lambda M: M.astype(bool), "text": lambda M: M.astype(str),
+    "object": lambda M: M.astype(object),
 }
 
 
-@pytest.mark.parametrize("shape", [(), (6,), (2, 3, 4)], ids=["0d", "1d", "3d"])
-@pytest.mark.parametrize("name", sorted(_NOT_2D))
-def test_a_matrix_that_is_not_2d_is_config_error(name, shape):
-    # a 1-D input raised IndexError where the short side was taken, and a 3-D
-    # decompose numpy's "too many values to unpack"
-    M = np.random.default_rng(0).standard_normal(shape)
-    with pytest.raises(ConfigError):
-        _NOT_2D[name](M)
+@pytest.mark.parametrize("bad", sorted(NOT_A_MATRIX))
+@pytest.mark.parametrize("name", sorted(MATRIX_TAKERS))
+def test_a_matrix_that_is_not_2d_is_config_error(name, bad, tmp_path):
+    # a bool matrix was solved, transformed and written as numbers, a text or
+    # object one failed with whatever numpy raised, and the 2-D checks outside
+    # rpca named no argument
+    arg, valid, call = MATRIX_TAKERS[name]
+    M = NOT_A_MATRIX[bad](np.random.default_rng(0).standard_normal(valid))
+    with pytest.raises(ConfigError, match=f"^{arg} must be a 2-D matrix of numbers"):
+        call(M, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_TAKERS))
+def test_a_nested_list_is_taken_as_its_array(name, tmp_path):
+    # SVT, singular_values and spectral_norm raised AttributeError for a list
+    _, valid, call = MATRIX_TAKERS[name]
+    M = np.random.default_rng(1).standard_normal(valid)
+    assert np.array_equal(call(M.tolist(), tmp_path), call(M, tmp_path))
+
+
+@pytest.mark.parametrize("name", ["to-baseband", "to-solve-grid"])
+def test_a_complex_gate_matrix_is_config_error(name, tmp_path):
+    # numpy's rfft raised TypeError inside the baseband map
+    _, valid, call = MATRIX_TAKERS[name]
+    with pytest.raises(ConfigError, match="^D must be real"):
+        call(np.ones(valid, complex), tmp_path)
+
+
+def test_the_matrix_rule_returns_an_array_as_itself():
+    real = np.random.default_rng(2).standard_normal((3, 4))
+    for M in (real, np.asfortranarray(real), real + 1j, np.asfortranarray(real + 1j),
+              np.arange(12, dtype=np.int64).reshape(3, 4)):
+        assert matrix(M, "M") is M
 
 
 _WIDE = low_rank_plus_sparse(30, 3001, 3, True, 0.05, seed=20)

@@ -5,8 +5,10 @@ import pytest
 
 from sarlrs.errors import ConfigError
 from sarlrs.eta import ApertureParams
+from sarlrs.imaging import ImagingGrid
+from sarlrs.rpca import RpcaConfig
 from sarlrs.scenario import (Platform, Pulse, SamplingGrid, Scenario, Target,
-                             serialize_scenario)
+                             scenario_from_dict, serialize_scenario)
 
 PULSE = dict(carrier_angular_frequency=2 * np.pi * 2e8, bandwidth_parameter=2 * np.pi * 1e7)
 PLATFORM = dict(position=[7100.0, 0.0, 7300.0], velocity=[0.0, 10.0, 0.0], delta_s=0.03,
@@ -64,3 +66,18 @@ def test_a_type_stores_its_numbers_as_floats():
                       SamplingGrid(1.0, -1.0, 1.0))
     assert serialize_scenario(ints) == serialize_scenario(floats)
     assert type(ints.platform.pulse_count) is int
+    # so do the solver's settings and the imaging grid: a float32 eta kept as it
+    # was would round eta / mu to 32 bits in every pass of decompose
+    config = RpcaConfig(eta=np.float32(0.5), tol=np.float32(1e-3), max_iter=np.int64(5))
+    assert [type(v) for v in (config.eta, config.tol, config.max_iter)] == [float, float, int]
+    grid = ImagingGrid([0, 0, 0], np.float32(5), 5, np.int64(3), np.int32(4))
+    assert [type(v) for v in (grid.extent_x, grid.extent_y, grid.nx, grid.ny)] == [
+        float, float, int, int]
+
+
+@pytest.mark.parametrize("doc", [[], 1, "pulse", None])
+def test_a_scene_document_must_be_an_object(doc):
+    # a number at the top of a scene file was reported in a TypeError's words
+    # ("argument of type 'int' is not iterable"), an array as a missing 'pulse'
+    with pytest.raises(ConfigError, match="scenario JSON must be an object"):
+        scenario_from_dict(doc)
