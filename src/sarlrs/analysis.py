@@ -53,7 +53,7 @@ class SpectrumReport:
 def spectrum(M) -> SpectrumReport:
     """Singular values of M with the norms they give; raises SvdFailure."""
     sig = singular_values(M)
-    n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig[0]))
+    n_eff = int(np.sum(sig > EFFECTIVE_SUPPORT_REL * sig.max(initial=0.0)))
     return SpectrumReport(
         singular_values=sig,
         nuclear_norm=float(sig.sum()),

@@ -6,7 +6,9 @@ Each row of m samples is real-FFT'd at m, which `simulate.fast_times` makes
 rest are zeroed, and the result is inverse-FFT'd at m and mixed up by
 exp(1j w0 t): a brick-wall low-pass of half-width 6B around baseband.  The
 factor of 2 restores unit peak magnitude after the image at +w0 is rejected.
-Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost.
+Reconstruction is Re{exp(-1j w0 t) D_B}; no data is lost while the band
+-w0 +- 6B lies strictly between -pi/dt and 0, the rule `passband_bins`
+enforces, with `CarrierAliased`, for every map that uses the band.
 
 `passband_bins` is the one definition of the band, and `_band` the one
 extraction of it from D.  `to_baseband` puts the band on the gate's m
@@ -58,8 +60,8 @@ from .scenario import Pulse
 
 # Passband half-width in units of B.  The Gaussian envelope's spectrum is
 # exp(-w^2 / (2 B^2)); at 6B the truncated tail is ~1e-8, which keeps the
-# round-trip error well below 1e-6 of the peak.  The image at 2*w0 needs
-# w0/B >= ~7 to stay outside; narrowband scenes (w0/B >= 10) always do.
+# round-trip error well below 1e-6 of the peak.  `passband_bins` requires the
+# band -w0 +- 6B to lie strictly between -pi/dt and 0: 6B < w0 < pi/dt - 6B.
 PASSBAND_OVER_B = 6.0
 PASSBAND_GAIN = 2.0
 BAND_ROWS = 4                # rows of a worker's rfft buffer in `_band`
@@ -82,12 +84,22 @@ def passband_bins(m: int, pulse: Pulse, delta_t: float) -> np.ndarray:
     """The band `to_baseband` keeps: the consecutive signed m-point DFT indices k, at
     angular frequency 2 pi k / (m dt), within PASSBAND_OVER_B * B of -w0.  Negative k
     index an FFT axis from its end.  Their count K is the solve grid's column count.
-    Raises `PhysicsError` when no bin lies in the band.
+
+    This is the one rule for a lossless baseband: the band -w0 +- 6B must lie
+    strictly between -pi/dt (Nyquist) and 0 (its own mirror image), that is
+    6B < w0 < pi/dt - 6B, else `CarrierAliased`, naming the edge it reaches.
+    The rule is on frequencies, not bins, so a band wholly past Nyquist is
+    aliased, not empty.  Raises `PhysicsError` when no bin lies in a valid band:
+    the gate is too short.
     """
+    w0, half = pulse.carrier_angular_frequency, PASSBAND_OVER_B * pulse.bandwidth_parameter
+    if not half < w0 < np.pi / delta_t - half:
+        edge = "0 (its own mirror image)" if w0 <= half else "-pi/dt (Nyquist)"
+        raise CarrierAliased(f"the band -omega_0 +- {PASSBAND_OVER_B:g}B reaches {edge}: omega_0 "
+                             f"= {w0:.4g}, B = {pulse.bandwidth_parameter:.4g}, pi/dt = "
+                             f"{np.pi / delta_t:.4g} rad/s")
     k = np.arange(-(m // 2), (m + 1) // 2)
-    w = 2.0 * np.pi * k / (m * delta_t)
-    k = k[np.abs(w + pulse.carrier_angular_frequency)
-          <= PASSBAND_OVER_B * pulse.bandwidth_parameter]
+    k = k[np.abs(2.0 * np.pi * k / (m * delta_t) + w0) <= half]
     if k.size == 0:
         raise PhysicsError(f"no {m}-point DFT bin lies within {PASSBAND_OVER_B:g}B of "
                            "the carrier: the gate is too short for the pulse's band")
@@ -100,19 +112,18 @@ def solve_grid_scale(m: int, pulse: Pulse, delta_t: float) -> float:
     `from_solve_grid` scales every singular value by sqrt(m / K), and the l1
     norm of a sparse trace by about m / K, so an eta chosen on the gate's
     grid is eta * sqrt(m / K) on the solve grid, and a solve-grid spectrum
-    times sqrt(m / K) is the gate grid's.  Raises `PhysicsError` when no bin
-    lies in the band.
+    times sqrt(m / K) is the gate grid's.  Raises what `passband_bins` raises.
 
     The real D's spectrum follows from the same grid DB_K = `to_solve_grid(D)`.
-    D's DFT is the band and its mirror image, so D D^T = (m / 2K) Re(DB_K DB_K^H),
-    and Re(DB_K DB_K^H) is the Gram matrix of the real n x 2K [Re DB_K, Im DB_K]:
-    D's singular values are sqrt(m / 2K) times that matrix's, up to the band's
-    6B tail.  D's nuclear norm agreed to 1e-16 to 6e-10 relative on the shipped
-    scenes and their single targets, and to 1.1e-11 on the whole `scaled`
-    scene.  `spectra.csv` takes D's row from this rule: its 64 values are
-    within 2.4e-12 of sigma_0 of D's own on `scaled` (those near the tail,
-    about 1e-11 sigma_0, differ in their leading digits) and 1.8e-15 on
-    `gotcha`, and the row is checked to 1e-11 of sigma_0.
+    D's DFT is the band and its mirror image, disjoint by `passband_bins`' rule,
+    so D D^T = (m / 2K) Re(DB_K DB_K^H), and Re(DB_K DB_K^H) is the Gram matrix
+    of the real n x 2K [Re DB_K, Im DB_K]: D's singular values are sqrt(m / 2K)
+    times that matrix's, up to the band's 6B tail.  D's nuclear norm agreed to
+    1e-16 to 6e-10 relative on the shipped scenes and their single targets, and
+    to 1.1e-11 on the whole `scaled` scene.  `spectra.csv` takes D's row from
+    this rule: its 64 values are within 2.4e-12 of sigma_0 of D's own on
+    `scaled` (those near the tail, about 1e-11 sigma_0, differ in their leading
+    digits) and 1.8e-15 on `gotcha`, and the row is checked to 1e-11 of sigma_0.
     """
     return float(np.sqrt(m / passband_bins(m, pulse, delta_t).size))
 
@@ -120,13 +131,11 @@ def solve_grid_scale(m: int, pulse: Pulse, delta_t: float) -> float:
 def _band(D, pulse: Pulse, delta_t: float) -> tuple[np.ndarray, np.ndarray]:
     """The real D's m-point DFT values (norm="forward") on `passband_bins`, with gain
     PASSBAND_GAIN, and those bins: the passband both grids are built from.  D must
-    be a real matrix (`errors.matrix`) with at least 8 columns, else `ConfigError`."""
+    be a real matrix (`errors.matrix`) with at least 8 columns, else `ConfigError`,
+    checked before `passband_bins`' band rule."""
     D = matrix(D, "D")
     if np.iscomplexobj(D) or D.shape[1] < 8:
         raise ConfigError(f"D must be real with at least 8 columns, got {D.dtype} {D.shape}")
-    w0 = pulse.carrier_angular_frequency
-    if w0 * delta_t >= np.pi:
-        raise CarrierAliased(f"omega_0*dt = {w0 * delta_t:.3f} >= pi")
     n, m = D.shape
     k = passband_bins(m, pulse, delta_t)
     cols, flip = np.abs(k), int(np.count_nonzero(k < 0))  # k ascends: negatives lead

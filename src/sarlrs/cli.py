@@ -23,7 +23,8 @@ spectra.csv from `analysis.solve_grid_spectra` and metrics.json from
 
 Every command that takes --eta and --windows checks both, whatever stage it
 stops at: --eta's syntax as argparse reads it, --windows against the scene's
-pulse count.
+pulse count.  Every command that reads the band (each stage from baseband on,
+and `analyze`) meets `baseband.passband_bins`' rule before it writes a file.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 physics/gate error,
 3 numerical failure (RPCA did not converge, or L has rank 0; raised after the
@@ -193,7 +194,8 @@ def _run(args, last: str) -> int:
     sc = _load(args)
     t = simulate.fast_times(sc)
     # bad --velocity, --windows or grid options (or an --eta, already at parsing) are
-    # configuration errors, and an empty passband a physics error, before any stage writes
+    # configuration errors, and a band `baseband.passband_bins` rejects a physics error,
+    # before any stage writes
     images = {}
     if last == "image":
         last, images = SOURCE_STAGE[args.source], {args.source: _velocity(args.velocity)}
@@ -201,10 +203,11 @@ def _run(args, last: str) -> int:
     band = (sc.pulse, sc.sampling.delta_t)
     if "windows" in args and not 1 <= args.windows <= sc.platform.pulse_count:
         raise ConfigError("--windows must be in [1, pulse count]")
+    # every stage from baseband on reads the band
+    scale = baseband.solve_grid_scale(t.size, *band) if "baseband" in stages else None
     if "decompose" in stages:
         eta_used = _resolve_eta(args.eta, sc, t.size)
-        # rejects an overflow
-        config = rpca.RpcaConfig(eta=eta_used[0] * baseband.solve_grid_scale(t.size, *band))
+        config = rpca.RpcaConfig(eta=eta_used[0] * scale)  # rejects an overflow
     if last == "pipeline":
         images = {"DB": [0.0] * 3, "L": [0.0] * 3, "S": _first_target(sc, moving=True).velocity}
     grid = _grid(args, sc) if images else None

@@ -50,7 +50,8 @@ class GateTooNarrow(PhysicsError):
 
 
 class CarrierAliased(PhysicsError):
-    """omega_0 * dt >= pi: the fast-time sampling cannot represent the carrier."""
+    """The fast-time sampling cannot hold the band -omega_0 +- 6B: it reaches -pi/dt
+    (Nyquist) or 0 (its own mirror image), so the baseband would lose data."""
 
 
 class DegenerateGeometry(PhysicsError):
@@ -116,9 +117,12 @@ def matrix(value, name: str) -> np.ndarray:
     """value as a 2-D numpy array of integers, floats or complex numbers, not copied.
 
     The dtype's kind must be i, u, f or c, so bool (b), object (O) and text
-    (U, S) matrices are rejected.
+    (U, S) matrices are rejected, and so is a ragged nested list.
     """
-    M = np.asarray(value)
+    try:
+        M = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape" of a ragged nested list
+        raise ConfigError(f"{name} must be a 2-D matrix of numbers, got a ragged list") from None
     if M.ndim != 2 or M.dtype.kind not in "iufc":
         raise ConfigError(f"{name} must be a 2-D matrix of numbers, got {M.ndim}-D {M.dtype}")
     return M

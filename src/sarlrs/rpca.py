@@ -276,7 +276,7 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value, from the top eigenvalue of the short-side Gram matrix."""
     A, _ = _short_side(matrix(M, "M"))
-    return float(_gram_spectrum(_gram(A))[0][-1])
+    return float(_gram_spectrum(_gram(A))[0].max(initial=0.0))  # 0 for an empty M
 
 
 def _chunks(*arrays):

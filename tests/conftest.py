@@ -18,6 +18,22 @@ def make_scenario(targets=(), n=100, ds=0.03, platform_velocity=(0.0, 10.0, 0.0)
     )
 
 
+# the shipped `scaled` scene's carrier (Hz) and fast-time step dt (s), changed so
+# that its band -omega_0 +- 6B reaches an edge of (-pi/dt, 0), and the edge named:
+# omega_0 / B = 5 and 3 reach 0, (omega_0 + 6B) dt = 1.15 pi (with omega_0 dt =
+# 0.885 pi) and omega_0 dt = 1.2 pi reach -pi/dt
+ALIASED_BANDS = {"w0-5B": (5e7, 3.75e-10, "0"), "w0-3B": (3e7, 3.75e-10, "0"),
+                 "band-1.15pi": (2e8, 0.575 / 2.6e8, "-pi/dt"),
+                 "carrier-1.2pi": (2e8, 3e-9, "-pi/dt")}
+
+
+def with_band(sc, carrier_hz, dt):
+    """sc with its carrier and fast-time step replaced, its B and gate kept."""
+    from dataclasses import replace
+    return replace(sc, pulse=Pulse(2 * np.pi * carrier_hz, sc.pulse.bandwidth_parameter),
+                   sampling=replace(sc.sampling, delta_t=dt))
+
+
 def stationary_target(position=(-9.43, -3.07, 0.0), reflectivity=1.0):
     return Target(list(position), [0.0, 0.0, 0.0], reflectivity)
 

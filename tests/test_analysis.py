@@ -73,6 +73,11 @@ def test_spectrum_rank_one():
     assert rep.effective_support == 1
     assert rep.singular_values[1] <= 1e-12 * rep.singular_values[0]
     assert spectrum(np.zeros((2, 3))).effective_support == 0
+    # a zero-length side gives an empty spectrum, not an IndexError
+    for empty in (np.zeros((0, 5)), np.zeros((5, 0))):
+        rep = spectrum(empty)
+        assert rep.singular_values.size == rep.effective_support == 0
+        assert rep.nuclear_norm == rep.frobenius_norm == 0.0
 
 
 def test_spectrum_energy_identity():

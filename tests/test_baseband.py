@@ -20,7 +20,7 @@ from sarlrs.scenario import Pulse, SamplingGrid, load_scenario
 from sarlrs.simulate import (fast_time_gate, fast_times, synthesize_baseband_direct,
                              synthesize_downramped)
 
-from conftest import make_scenario, moving_target, stationary_target
+from conftest import ALIASED_BANDS, make_scenario, moving_target, stationary_target, with_band
 
 
 def _transform(sc, D):
@@ -102,6 +102,32 @@ def test_carrier_aliasing_rejected(transform):
     pulse = Pulse(2 * np.pi * 2e8, 2 * np.pi * 1e7)
     with pytest.raises(CarrierAliased):
         transform(np.ones((2, 16)), pulse, delta_t=1e-8)
+
+
+@pytest.mark.parametrize("variant", sorted(ALIASED_BANDS))
+def test_a_band_reaching_nyquist_or_zero_is_carrier_aliased(scaled_scenario, variant):
+    # only omega_0 dt >= pi was checked, in `_band`: every call took the first three
+    # scenes, the D_B of w0-3B 0.52 off the analytic baseband, and passband_bins,
+    # solve_grid_scale and from_solve_grid took the last
+    carrier_hz, dt, edge = ALIASED_BANDS[variant]
+    sc = with_band(scaled_scenario, carrier_hz, dt)
+    m, band = fast_times(sc).size, (sc.pulse, sc.sampling.delta_t)
+    D = np.zeros((2, m))
+    for call in (lambda: passband_bins(m, *band), lambda: solve_grid_scale(m, *band),
+                 lambda: from_solve_grid(np.zeros((2, 8)), *band, m, 0.0),
+                 lambda: to_baseband(D, *band), lambda: to_solve_grid(D, *band)):
+        with pytest.raises(CarrierAliased, match=f"reaches {edge} "):
+            call()
+
+
+@pytest.mark.parametrize("carrier_hz, dt", [(6.1e7, 3.75e-10), (2e8, 0.495 / 2.6e8)],
+                         ids=["w0-6.1B", "band-0.99pi"])
+def test_a_band_just_inside_the_rule_is_lossless(scaled_scenario, carrier_hz, dt):
+    sc = with_band(scaled_scenario, carrier_hz, dt)
+    band, t0 = (sc.pulse, sc.sampling.delta_t), fast_times(sc)[0]
+    D = synthesize_downramped(sc)
+    back = from_baseband(to_baseband(D, *band, t0=t0), *band, t0=t0)
+    assert np.max(np.abs(back - D)) <= 1e-6 * np.max(np.abs(D))
 
 
 @FROM_D

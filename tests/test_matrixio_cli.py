@@ -31,6 +31,8 @@ from sarlrs.scenario import (SamplingGrid, Scenario, load_scenario, scenario_has
                              scenario_to_dict, serialize_scenario)
 from sarlrs.simulate import fast_times
 
+from conftest import ALIASED_BANDS
+
 
 def test_real_matrix_round_trip(tmp_path):
     M = np.arange(12, dtype=float).reshape(3, 4)
@@ -267,8 +269,27 @@ def test_cli_empty_passband_is_physics_error(tmp_path, capsys, command):
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("physics error: ")
-    if command != "baseband":  # the band is checked with the solve's settings
-        assert not out.exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", sorted(ALIASED_BANDS))
+@pytest.mark.parametrize("argv", [["baseband"], ["decompose"], ["pipeline"],
+                                  ["image", "--source", "DB"], ["image", "--source", "S"],
+                                  ["analyze"]],
+                         ids=["baseband", "decompose", "pipeline", "image-DB", "image-S",
+                              "analyze"])
+def test_cli_aliased_band_fails_before_any_output(tmp_path, capsys, argv, variant):
+    # every command here exited 0 on the first three scenes, each output built from a
+    # D_B the band cut; all but analyze wrote D.sarm and scenario.json on the last
+    carrier_hz, dt, edge = ALIASED_BANDS[variant]
+    doc = json.loads(_scaled_config(tmp_path).read_text())
+    doc["pulse"]["carrier_frequency_hz"], doc["sampling"]["delta_t_seconds"] = carrier_hz, dt
+    cfg = tmp_path / "aliased.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"reaches {edge} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_eta_report(tmp_path):
@@ -811,14 +832,27 @@ def test_cli_analyze_reports(tmp_path, monkeypatch):
     assert summary["n_b_dt"] == pytest.approx([1.315, 13.15], rel=1e-3)
 
 
-def test_python_m_sarlrs_runs_the_cli():
+def _python_m_sarlrs(*argv) -> subprocess.CompletedProcess:
+    """`python -m sarlrs` with argv in a subprocess, with this checkout's src on PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "sarlrs", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "sarlrs", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_sarlrs_runs_the_cli():
+    done = _python_m_sarlrs("--help")
     assert done.returncode == 0, done.stderr
     assert "pipeline" in done.stdout
+
+
+def test_python_m_sarlrs_runs_a_command(tmp_path):
+    done = _python_m_sarlrs("eta", "--regime", "scaled", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "eta_report.json").read_text())
+    assert json.loads(done.stdout) == report
+    assert report["baseband"]["eta_min"] < report["baseband"]["eta_max"]
 
 
 def test_readme_examples_run():

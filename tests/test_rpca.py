@@ -408,6 +408,8 @@ def test_spectral_norm_matches_svd():
     M = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
     assert spectral_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
                                              rel=1e-6)
+    # a matrix with a zero-length side has no singular value: its norm is 0, not an IndexError
+    assert spectral_norm(np.zeros((0, 5))) == spectral_norm(np.zeros((5, 0))) == 0.0
 
 
 @pytest.mark.parametrize("M", [
@@ -678,6 +680,7 @@ NOT_A_MATRIX = {
     "0d": lambda M: M[0, 0], "1d": lambda M: M[0], "3d": lambda M: M[None],
     "bool": lambda M: M.astype(bool), "text": lambda M: M.astype(str),
     "object": lambda M: M.astype(object),
+    "ragged": lambda M: [*M[:-1].tolist(), M[-1, :-1].tolist()],
 }
 
 
